@@ -6,13 +6,17 @@
 //             kept here because the production Simulator no longer has it).
 //   Heap    — SimCallback (inline/pooled captures) on BinaryHeapEventQueue.
 //   Ladder  — SimCallback on the ladder/calendar queue (production default).
-// Plus the mini-fleet end-to-end events/sec on both queue kinds, and frame
+// Plus the mini-fleet end-to-end events/sec on both queue kinds, the sharded
+// executor rows (mini-fleet, burst rounds of a known size, pool dispatch
+// cost), and frame
 // encode with reused WireScratch vs per-call allocation.
 //
 // Refresh the tracked baseline with: tools/run_bench_simcore.sh
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -20,6 +24,8 @@
 #include "src/fleet/mini_fleet.h"
 #include "src/fleet/service_catalog.h"
 #include "src/rpc/codec.h"
+#include "src/sim/parallel/burst_load.h"
+#include "src/sim/parallel/shard_executor.h"
 #include "src/sim/simulator.h"
 #include "src/wire/message.h"
 
@@ -297,6 +303,98 @@ BENCHMARK(BM_MiniFleetSharded)
     ->Args({8, 8})
     ->UseRealTime()
     ->MeasureProcessCPUTime();
+
+// Rounds of a known size on both branches. Eight domains with a uniform 1 ms
+// lookahead run one burst (src/sim/parallel/burst_load.h) of ~32 rounds
+// holding events_per_round events each; every event spins kBurstWork mix
+// rounds, sized so it costs about what a mini-fleet event does (~0.6 us,
+// the `c` behind ShardExecutor::kMinOffloadedEvents; items_per_second at
+// workers:1 gives the cost on the recording host). workers:1 runs every round
+// inline; workers:W pools the rounds whose offloaded share — the events
+// outside the coordinator's own slice, (W - 1) / W of the round — reaches the
+// threshold, and pooled_rounds says how many did. Rows that pool must beat
+// workers:1 at the same events_per_round; rows below the threshold must match
+// it (docs/PARALLEL.md#inline-or-pooled-rounds).
+constexpr uint32_t kBurstWork = 300;
+
+void BM_BurstSharded(benchmark::State& state) {
+  constexpr int kDomains = 8;
+  constexpr SimDuration kLookahead = Millis(1);
+  constexpr int kRounds = 32;
+  const int64_t events_per_round = state.range(0);
+  const SimDuration step = kLookahead * kDomains / events_per_round;
+  ShardExecutorOptions opts;
+  opts.worker_threads = static_cast<int>(state.range(1));
+  opts.lookahead = kLookahead;
+  opts.clamp_workers_to_hardware = true;
+  ShardWorkerPool pool;  // One long-lived pool, as RpcSystem keeps.
+  uint64_t events = 0;
+  uint64_t rounds = 0;
+  uint64_t pooled = 0;
+  for (auto _ : state) {
+    std::vector<std::unique_ptr<SimDomain>> owned;
+    std::vector<SimDomain*> domains;
+    for (int i = 0; i < kDomains; ++i) {
+      owned.push_back(std::make_unique<SimDomain>(i, kDomains));
+      domains.push_back(owned.back().get());
+    }
+    PlantBurst(domains, 0, kLookahead * kRounds, step, kBurstWork);
+    ShardExecutor executor(domains, opts, &pool);
+    events += executor.RunToCompletion();
+    rounds += executor.rounds();
+    pooled += executor.pooled_rounds();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(events));
+  state.counters["rounds"] =
+      benchmark::Counter(static_cast<double>(rounds), benchmark::Counter::kAvgIterations);
+  state.counters["pooled_rounds"] =
+      benchmark::Counter(static_cast<double>(pooled), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_BurstSharded)
+    ->ArgNames({"events_per_round", "workers"})
+    ->ArgsProduct({{2048, 2736, 4096, 16384}, {1, 2, 4}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime();
+
+// One pooled round with no work in it: publish, wake the helpers, run an
+// empty slice each, park them again. Between rounds the coordinator keeps
+// busy for idle_us, as it does while it runs inline rounds, so the helpers
+// have been parked that long when the next round wakes them; only the
+// dispatch itself is timed. This is the per-round cost the executor's
+// inline/pooled threshold (ShardExecutor::kMinOffloadedEvents) is derived
+// from; the per-event side comes from the workers:1 sharded rows.
+double HostSeconds() {
+  // Host time for the manual dispatch timing only; nothing here reaches a digest.
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())  // NOLINT(detan-nondet-source) bench timer
+      .count();
+}
+
+void BM_PoolDispatch(benchmark::State& state) {
+  ShardWorkerPool pool;
+  const int participants = static_cast<int>(state.range(0));
+  const double idle_s = static_cast<double>(state.range(1)) * 1e-6;
+  std::vector<uint64_t> hits(static_cast<size_t>(participants), 0);
+  const std::function<void(int)> task = [&hits](int w) { ++hits[static_cast<size_t>(w)]; };
+  pool.Run(participants, task);  // Start the helpers outside the timed loop.
+  for (auto _ : state) {
+    const double busy_until = HostSeconds() + idle_s;
+    while (HostSeconds() < busy_until) {
+    }
+    const double start = HostSeconds();
+    pool.Run(participants, task);
+    state.SetIterationTime(HostSeconds() - start);
+  }
+  benchmark::DoNotOptimize(hits.data());
+}
+BENCHMARK(BM_PoolDispatch)
+    ->ArgNames({"participants", "idle_us"})
+    ->Args({2, 0})
+    ->Args({4, 0})
+    ->Args({4, 100})
+    ->Args({4, 1000})
+    ->UseManualTime();
 
 // ---------------------------------------------------------------------------
 // Wire path: frame encode with per-call allocation (the pre-overhaul shape)

@@ -6,6 +6,9 @@
 //
 //   ./fleet_study [num_samples]
 //
+// A first argument that is not a positive integer (e.g. --help) prints usage
+// and exits 2.
+//
 // --observe [seconds] runs the live mode instead: the Table-1 mini-fleet
 // executes as a sharded DES while the streaming observability pipeline
 // (docs/OBSERVABILITY.md) closes short Monarch windows at round barriers and
@@ -390,7 +393,16 @@ int main(int argc, char** argv) {
     return RunCheckpointed(argc, argv);
   }
   if (argc > 1) {
-    samples = std::atoll(argv[1]);
+    char* end = nullptr;
+    samples = std::strtoll(argv[1], &end, 10);
+    if (end == argv[1] || *end != '\0' || samples <= 0) {
+      std::fprintf(stderr,
+                   "usage: fleet_study [num_samples > 0]\n"
+                   "       fleet_study --observe [seconds]\n"
+                   "       fleet_study --checkpoint-dir=DIR --checkpoint-every=MS [...]\n"
+                   "       fleet_study --policy-rollout=<canary_ms>:<fleet_ms>|demo [...]\n");
+      return 2;
+    }
   }
 
   // The fleet substitute: services (Table 1 + supporting population) and the

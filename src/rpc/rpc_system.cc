@@ -96,6 +96,7 @@ RpcSystem::RpcSystem(const RpcSystemOptions& options)
           &lookahead_matrix_);
     }
   }
+  pool_ = std::make_unique<ShardWorkerPool>();  // Threads start on the first pooled round.
 
   if (options_.observability.streaming) {
     hub_ = std::make_unique<ObservabilityHub>(options_.observability);
@@ -104,6 +105,8 @@ RpcSystem::RpcSystem(const RpcSystemOptions& options)
     }
   }
 }
+
+RpcSystem::~RpcSystem() = default;
 
 void RpcSystem::FlushObservability(SimTime watermark) {
   if (hub_ == nullptr) {
@@ -126,7 +129,7 @@ void RpcSystem::AdvancePolicies(SimTime watermark) {
   }
 }
 
-uint64_t RpcSystem::RunSharded(int worker_threads) {
+uint64_t RpcSystem::RunShardedSegment(int worker_threads, SimTime flush_watermark) {
   std::vector<SimDomain*> domains;
   domains.reserve(shards_.size());
   for (auto& shard : shards_) {
@@ -145,36 +148,7 @@ uint64_t RpcSystem::RunSharded(int worker_threads) {
     // Policy swaps land before the flush so the barrier's watermark means the
     // same thing for both: everything at or before it ran under the old
     // snapshot, everything after runs under the new one.
-    exec_options.barrier_hook = [this](SimTime round_end) {
-      AdvancePolicies(round_end);
-      FlushObservability(round_end);
-    };
-  }
-  ShardExecutor executor(std::move(domains), exec_options);
-  const uint64_t executed = executor.RunToCompletion();
-  last_rounds_ = executor.rounds();
-  last_cross_domain_events_ = executor.cross_domain_events();
-  // Final flush: drains whatever the last partial round left in the sinks
-  // (and, on the single-domain fast path, everything) and closes all windows.
-  AdvancePolicies(kMaxSimTime);
-  FlushObservability(kMaxSimTime);
-  return executed;
-}
-
-uint64_t RpcSystem::RunShardedSegment(int worker_threads, SimTime flush_watermark) {
-  std::vector<SimDomain*> domains;
-  domains.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    domains.push_back(&shard->domain);
-  }
-  ShardExecutorOptions exec_options;
-  exec_options.worker_threads = worker_threads;
-  exec_options.lookahead = lookahead_;
-  if (num_shards() > 1) {
-    exec_options.lookahead_matrix = &lookahead_matrix_;
-  }
-  exec_options.clamp_workers_to_hardware = true;
-  if (hub_ != nullptr || options_.policy.has_stages()) {
+    //
     // Round watermarks clamp to the epoch end: the drain executes cascades
     // past the boundary, but the next epoch's arrivals (armed only up to that
     // boundary) may still add spans to any window at or past it. Only windows
@@ -190,18 +164,21 @@ uint64_t RpcSystem::RunShardedSegment(int worker_threads, SimTime flush_watermar
       FlushObservability(std::min(round_end, flush_watermark));
     };
   }
-  ShardExecutor executor(std::move(domains), exec_options);
+  ShardExecutor executor(std::move(domains), exec_options, pool_.get());
   const uint64_t executed = executor.RunToCompletion();
   last_rounds_ = executor.rounds();
+  last_pooled_rounds_ = executor.pooled_rounds();
   last_cross_domain_events_ = executor.cross_domain_events();
-  // Epoch-bounded flush: unlike RunSharded, windows past the epoch end stay
-  // open — the next segment (or a resumed run) continues filling them. Pass
-  // the epoch end itself; on the final segment callers pass kMaxSimTime to
-  // close everything.
+  // Final flush: drains whatever the last partial round left in the sinks
+  // (and, on the single-domain fast path, everything). Windows past
+  // `flush_watermark` stay open — the next segment (or a resumed run)
+  // continues filling them; kMaxSimTime closes everything.
   AdvancePolicies(flush_watermark);
   FlushObservability(flush_watermark);
   return executed;
 }
+
+int RpcSystem::pool_threads() const { return pool_->threads(); }
 
 Status RpcSystem::ResyncShards(SimTime barrier) {
   for (auto& shard : shards_) {

@@ -39,6 +39,7 @@
 namespace rpcscope {
 
 class Server;
+class ShardWorkerPool;
 struct Span;
 class CheckpointWriter;
 class CheckpointReader;
@@ -134,6 +135,7 @@ class RpcSystem {
   };
 
   explicit RpcSystem(const RpcSystemOptions& options);
+  ~RpcSystem();
 
   // Legacy single-domain accessors: shard 0. Correct whenever num_shards == 1
   // (the default); sharded code paths must use ShardFor/shard instead.
@@ -183,25 +185,36 @@ class RpcSystem {
   // shard d. Empty when num_shards == 1.
   const LookaheadMatrix& lookahead_matrix() const { return lookahead_matrix_; }
 
-  // Runs every shard domain to completion on `worker_threads` host threads
-  // (conservative PDES, src/sim/parallel/). Returns total events executed.
-  // For a fixed seed the result — digests, merged histograms, trace trees —
-  // is bit-for-bit identical for any worker count. With num_shards == 1 this
-  // is exactly sim().Run().
-  uint64_t RunSharded(int worker_threads = 1);
-
-  // Executor stats from the last RunSharded call (0 before any call;
-  // single-domain runs report 1 round — the whole run is one uninterrupted
-  // round on the executor's fast path).
-  uint64_t last_rounds() const { return last_rounds_; }
-  uint64_t last_cross_domain_events() const { return last_cross_domain_events_; }
-
-  // Epoch-segment variant of RunSharded for checkpointed runs (docs/
-  // ROBUSTNESS.md#checkpointrestore): identical execution, but the final
-  // observability flush advances only to `flush_watermark` (the epoch end)
-  // instead of kMaxSimTime, so hub windows spanning the boundary stay open
-  // for the next segment. Pass kMaxSimTime on the last epoch to close out.
+  // Runs every shard domain to completion on up to `worker_threads` host
+  // threads (conservative PDES, src/sim/parallel/), flushing observability
+  // and applying policy stages at every round barrier, with round watermarks
+  // clamped to `flush_watermark`, and once more at `flush_watermark` after
+  // the drain. Returns total events executed. For a fixed seed the result —
+  // digests, merged histograms, trace trees — is bit-for-bit identical for
+  // any worker count. With num_shards == 1 the run is exactly sim().Run().
+  //
+  // Epoch segments (docs/ROBUSTNESS.md#checkpointrestore) pass the epoch end:
+  // hub windows spanning the boundary stay open for the next segment. Pass
+  // kMaxSimTime on the last epoch (or for a one-shot run) to close out.
+  //
+  // Pooled rounds run on one worker pool owned by this system: its threads
+  // start on the first round heavy enough to pool and serve every later
+  // call, so a single-domain or 1-worker system never starts a thread.
   uint64_t RunShardedSegment(int worker_threads, SimTime flush_watermark);
+  // One uninterrupted run: RunShardedSegment(worker_threads, kMaxSimTime).
+  uint64_t RunSharded(int worker_threads = 1) {
+    return RunShardedSegment(worker_threads, kMaxSimTime);
+  }
+
+  // Executor stats from the last run (0 before any call; single-domain runs
+  // report 1 round — the whole run is one uninterrupted round on the
+  // executor's fast path). Rounds not pooled ran inline on the caller.
+  uint64_t last_rounds() const { return last_rounds_; }
+  uint64_t last_pooled_rounds() const { return last_pooled_rounds_; }
+  uint64_t last_cross_domain_events() const { return last_cross_domain_events_; }
+  // Helper threads the system's worker pool has started (0 until a round
+  // first pools).
+  int pool_threads() const;
 
   // Re-synchronizes every shard clock to `barrier` after a segment drains
   // (docs/ROBUSTNESS.md#checkpointrestore). Cascades past the epoch end leave
@@ -224,9 +237,9 @@ class RpcSystem {
   [[nodiscard]] Status RestoreGlobal(CheckpointReader& r);
 
   // The streaming aggregation plane; null when observability.streaming is
-  // off. RunSharded feeds it at every round barrier and flushes it once more
-  // (watermark kMaxSimTime) before returning, so after a run its aggregate
-  // state equals ReplayIntoHub(MergedSpans(), ...) bit-for-bit.
+  // off. RunShardedSegment feeds it at every round barrier and flushes it
+  // once more before returning, so after a run ending at kMaxSimTime its
+  // aggregate state equals ReplayIntoHub(MergedSpans(), ...) bit-for-bit.
   ObservabilityHub* hub() { return hub_.get(); }
   const ObservabilityHub* hub() const { return hub_.get(); }
   // Drains every shard sink into the hub in canonical shard order, then
@@ -278,7 +291,12 @@ class RpcSystem {
   LookaheadMatrix lookahead_matrix_;  // NOLINT(detan-checkpoint-field) derived from topology
   std::vector<std::unique_ptr<ShardContext>> shards_;
   std::unique_ptr<ObservabilityHub> hub_;
+  // Host execution resource for pooled rounds; starts no thread until one
+  // pools, which a single-domain system never does.
+  std::unique_ptr<ShardWorkerPool> pool_;  // NOLINT(detan-checkpoint-field) host threads
   uint64_t last_rounds_ = 0;
+  // Depends on the worker count, so it must stay out of checkpoints.
+  uint64_t last_pooled_rounds_ = 0;  // NOLINT(detan-checkpoint-field) host execution stat
   uint64_t last_cross_domain_events_ = 0;
   std::unordered_map<MachineId, Server*> servers_;  // NOLINT(detan-checkpoint-field) structural
 };

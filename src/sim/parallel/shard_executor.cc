@@ -1,18 +1,17 @@
 #include "src/sim/parallel/shard_executor.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "src/common/check.h"
 
 namespace rpcscope {
 
-ShardExecutor::ShardExecutor(std::vector<SimDomain*> domains, ShardExecutorOptions options)
-    : domains_(std::move(domains)), options_(std::move(options)) {
+ShardExecutor::ShardExecutor(std::vector<SimDomain*> domains, ShardExecutorOptions options,
+                             ShardWorkerPool* pool)
+    : domains_(std::move(domains)), options_(std::move(options)), pool_(pool) {
   RPCSCOPE_CHECK(!domains_.empty());
+  RPCSCOPE_CHECK(pool_ != nullptr);
   const int n = static_cast<int>(domains_.size());
   for (int i = 0; i < n; ++i) {
     RPCSCOPE_CHECK(domains_[static_cast<size_t>(i)] != nullptr);
@@ -77,6 +76,9 @@ ShardExecutor::ShardExecutor(std::vector<SimDomain*> domains, ShardExecutorOptio
   next_times_.resize(domains_.size());
   horizons_.resize(domains_.size());
   active_.reserve(domains_.size());
+  last_events_.resize(domains_.size(), 0);
+  slice_begin_.reserve(static_cast<size_t>(effective_workers_) + 1);
+  slice_events_.resize(static_cast<size_t>(effective_workers_), 0);
 }
 
 bool ShardExecutor::PlanRound() {
@@ -162,6 +164,44 @@ uint64_t ShardExecutor::DrainOutboxes() {
   return transferred;
 }
 
+
+int ShardExecutor::PlanParticipants() {
+  const size_t n_active = active_.size();
+  const size_t participants = std::min(static_cast<size_t>(effective_workers_), n_active);
+  if (participants < 2) {
+    return 1;
+  }
+  // Equal-count contiguous slices of the active list; each slice's work is
+  // predicted from what its domains executed the last round they were active.
+  slice_begin_.resize(participants + 1);
+  for (size_t w = 0; w <= participants; ++w) {
+    slice_begin_[w] = n_active * w / participants;
+  }
+  uint64_t total = 0;
+  uint64_t largest = 0;
+  for (size_t w = 0; w < participants; ++w) {
+    uint64_t slice = 0;
+    for (size_t k = slice_begin_[w]; k < slice_begin_[w + 1]; ++k) {
+      slice += last_events_[static_cast<size_t>(active_[k])];
+    }
+    total += slice;
+    largest = std::max(largest, slice);
+  }
+  return total - largest >= kMinOffloadedEvents ? static_cast<int>(participants) : 1;
+}
+
+uint64_t ShardExecutor::RunSlice(int w) {
+  uint64_t executed = 0;
+  for (size_t k = slice_begin_[static_cast<size_t>(w)]; k < slice_begin_[static_cast<size_t>(w) + 1];
+       ++k) {
+    const size_t i = static_cast<size_t>(active_[k]);
+    last_events_[i] = domains_[i]->sim().RunBefore(horizons_[i]);
+    executed += last_events_[i];
+  }
+  slice_events_[static_cast<size_t>(w)] = executed;
+  return executed;
+}
+
 uint64_t ShardExecutor::RunToCompletion() {
   if (domains_.size() == 1) {
     // Single domain: no barriers — exactly the legacy Run() path. Reported as
@@ -170,132 +210,94 @@ uint64_t ShardExecutor::RunToCompletion() {
     rounds_ = 1;
     return domains_[0]->sim().Run();
   }
-  return effective_workers_ == 1 ? RunSequential() : RunThreaded();
-}
-
-uint64_t ShardExecutor::RunSequential() {
+  // Every participant of a pooled round runs its own slice and writes only
+  // its own last_events_/slice_events_ entries; the pool's handshake
+  // publishes the plan to the helpers and their results back.
+  const std::function<void(int)> run_slice = [this](int w) { RunSlice(w); };
   uint64_t total = 0;
   while (PlanRound()) {
-    for (int i : active_) {
-      total += domains_[static_cast<size_t>(i)]->sim().RunBefore(horizons_[static_cast<size_t>(i)]);
+    const int participants = PlanParticipants();
+    if (participants == 1) {
+      slice_begin_.assign({0, active_.size()});
+      total += RunSlice(0);
+    } else {
+      pool_->Run(participants, run_slice);
+      for (int w = 0; w < participants; ++w) {
+        total += slice_events_[static_cast<size_t>(w)];
+      }
+      ++pooled_rounds_;
     }
     ++rounds_;
     DrainOutboxes();
     if (options_.barrier_hook) {
+      // Helpers are parked here, so the hook sees quiescent domains.
       options_.barrier_hook(watermark_);
     }
   }
   return total;
 }
 
-uint64_t ShardExecutor::RunThreaded() {
-  // Persistent worker pool, spin-free: helpers park on a generation-counted
-  // condition variable between rounds and are woken once per round, so an
-  // oversubscribed host pays wake/park latency but never burns a core.
-  // Work is handed out as one contiguous slice of the active list per worker
-  // (precomputed by the coordinator), so there is no shared claim counter to
-  // bounce between caches mid-round and each worker touches a disjoint,
-  // contiguous range of domains. The calling thread is worker 0.
-  //
-  // Happens-before edges: the round plan (horizons_, active_, range bounds)
-  // is published under `mu` before the generation bump that wakes helpers;
-  // all RunBefore effects are visible to the coordinator once `remaining`
-  // reaches 0 under `mu`.
-  struct Shared {
-    std::mutex mu;
-    std::condition_variable work_cv;
-    std::condition_variable done_cv;
-    uint64_t generation = 0;
-    int remaining = 0;
-    bool stop = false;
-    uint64_t executed = 0;  // Merged per-worker totals; guarded by mu.
-  } shared;
-
-  const int workers = effective_workers_;
-  // range_begin[w] .. range_begin[w+1] indexes worker w's slice of active_
-  // for the current round. Written by the coordinator under mu.
-  std::vector<size_t> range_begin(static_cast<size_t>(workers) + 1, 0);
-
-  auto run_range = [this](size_t begin, size_t end) {
-    uint64_t local = 0;
-    for (size_t k = begin; k < end; ++k) {
-      const size_t i = static_cast<size_t>(active_[k]);
-      local += domains_[i]->sim().RunBefore(horizons_[i]);
-    }
-    return local;
-  };
-
-  const int extra = workers - 1;
-  std::vector<std::thread> helpers;
-  helpers.reserve(static_cast<size_t>(extra));
-  for (int t = 0; t < extra; ++t) {
-    const size_t w = static_cast<size_t>(t) + 1;
-    helpers.emplace_back([&shared, &range_begin, &run_range, w] {
-      uint64_t seen = 0;
-      for (;;) {
-        size_t begin;
-        size_t end;
-        {
-          std::unique_lock<std::mutex> lock(shared.mu);
-          shared.work_cv.wait(lock,
-                              [&shared, seen] { return shared.stop || shared.generation != seen; });
-          if (shared.stop) {
-            return;
-          }
-          seen = shared.generation;
-          begin = range_begin[w];
-          end = range_begin[w + 1];
-        }
-        const uint64_t local = run_range(begin, end);
-        {
-          std::lock_guard<std::mutex> lock(shared.mu);
-          shared.executed += local;
-          if (--shared.remaining == 0) {
-            shared.done_cv.notify_one();
-          }
-        }
-      }
-    });
-  }
-
-  while (PlanRound()) {
-    {
-      std::lock_guard<std::mutex> lock(shared.mu);
-      const size_t n_active = active_.size();
-      for (int w = 0; w <= workers; ++w) {
-        range_begin[static_cast<size_t>(w)] =
-            n_active * static_cast<size_t>(w) / static_cast<size_t>(workers);
-      }
-      shared.remaining = workers;
-      ++shared.generation;
-    }
-    shared.work_cv.notify_all();
-    const uint64_t local = run_range(range_begin[0], range_begin[1]);
-    {
-      std::unique_lock<std::mutex> lock(shared.mu);
-      shared.executed += local;
-      --shared.remaining;
-      shared.done_cv.wait(lock, [&shared] { return shared.remaining == 0; });
-    }
-    ++rounds_;
-    DrainOutboxes();
-    if (options_.barrier_hook) {
-      // Workers are parked on work_cv here, so the hook sees quiescent
-      // domains; everything it reads was published by the remaining==0
-      // handshake above.
-      options_.barrier_hook(watermark_);
-    }
-  }
-
+ShardWorkerPool::~ShardWorkerPool() {
   {
-    std::lock_guard<std::mutex> lock(shared.mu);
-    shared.stop = true;
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
   }
-  shared.work_cv.notify_all();
-  for (std::thread& t : helpers) {
+  work_cv_.notify_all();
+  for (std::thread& t : helpers_) {
     t.join();
   }
-  return shared.executed;
+}
+
+int ShardWorkerPool::threads() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<int>(helpers_.size());
+}
+
+void ShardWorkerPool::Run(int participants, const std::function<void(int)>& task) {
+  // Happens-before edges: everything the caller wrote before Run (the round
+  // plan) is published under mu_ before the generation bump that wakes the
+  // helpers; every helper's effects are visible to the caller once
+  // remaining_ reaches 0 under mu_.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    while (static_cast<int>(helpers_.size()) < participants - 1) {
+      const int w = static_cast<int>(helpers_.size()) + 1;
+      helpers_.emplace_back([this, w, seen = generation_] { HelperLoop(w, seen); });
+    }
+    task_ = &task;
+    participants_ = participants;
+    remaining_ = participants;
+    ++generation_;
+  }
+  work_cv_.notify_all();
+  task(0);
+  std::unique_lock<std::mutex> lock(mu_);
+  --remaining_;
+  done_cv_.wait(lock, [this] { return remaining_ == 0; });
+  task_ = nullptr;
+}
+
+void ShardWorkerPool::HelperLoop(int w, uint64_t seen) {
+  for (;;) {
+    const std::function<void(int)>* task = nullptr;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      work_cv_.wait(lock, [this, seen] { return stop_ || generation_ != seen; });
+      if (stop_) {
+        return;
+      }
+      seen = generation_;
+      if (w >= participants_) {
+        continue;  // Not needed this time; a smaller Run than the pool.
+      }
+      task = task_;
+    }
+    (*task)(w);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--remaining_ == 0) {
+      done_cv_.notify_one();
+    }
+  }
 }
 
 }  // namespace rpcscope

@@ -22,26 +22,45 @@
 //      into many short rounds. A drained or far-ahead sender stops throttling
 //      everyone else entirely (its contribution saturates toward
 //      kMaxSimTime).
-//   3. Executes the active domains — those with an event below their horizon —
-//      in parallel on the worker pool, as one contiguous range of the active
-//      list per worker. Domains with nothing to do are not touched at all.
+//   3. Executes the active domains — those with an event below their horizon.
+//      Domains with nothing to do are not touched at all. The round runs
+//      either inline on the coordinator or on the worker pool, one contiguous
+//      slice of the active list per participant (see "Inline or pooled").
 //   4. Barrier. The coordinator drains the dirty cross-domain outboxes
 //      sequentially in canonical (source domain, post order), scheduling each
 //      event into its destination. The lookahead contract guarantees every
 //      transferred event lands at or beyond the *destination's* horizon
 //      (CHECK-enforced), i.e. in the destination's future.
 //
+// Inline or pooled (docs/PARALLEL.md#inline-or-pooled-rounds): handing a
+// round to the pool costs a wake and a park per helper — up to a millisecond
+// when the helpers have been parked a while on a shared host — while a
+// mini-fleet round holds a few dozen events of well under a microsecond each.
+// So each round the coordinator predicts its work from virtual-time data
+// only — every active domain is assumed to execute as many events as it did
+// the last round it was active — splits the active list into one contiguous
+// slice per participant, and pools the round only when the events the helpers
+// would take off the coordinator's critical path (predicted total minus the
+// largest slice) reach kMinOffloadedEvents. Otherwise the coordinator runs
+// every active domain itself. One worker, or a round with one active domain,
+// is always inline. The rule reads no host clock, so the inline/pooled split
+// (pooled_rounds()) is itself reproducible for a fixed seed and worker count.
+//
 // Determinism: a domain's round execution is self-contained (own queue, own
 // RNG streams, own collectors), so which host thread runs it is irrelevant;
 // horizons depend only on event timestamps, and outbox drain order is fixed
 // by domain ids, so destination event sequence numbers are identical for any
-// worker count. For a fixed seed the merged event digest, histograms, and
-// trace trees are bit-for-bit identical for 1, 2, or 8 workers — the
-// parallel_test ctest enforces this, including under TSan.
+// worker count and either branch. For a fixed seed the merged event digest,
+// histograms, and trace trees are bit-for-bit identical for 1, 2, or 8
+// workers — the parallel_test ctest enforces this, including under TSan.
 //
-// Coordination is spin-free: workers park on a generation-counted condition
-// variable between rounds and are woken once per round; nothing busy-waits,
-// so oversubscribed hosts lose only wake/park latency, never burned cores.
+// Coordination is spin-free: pool helpers park on a generation-counted
+// condition variable and are woken only for pooled rounds; nothing
+// busy-waits, so oversubscribed hosts lose only wake/park latency, never
+// burned cores. The pool (ShardWorkerPool) starts its threads on the first
+// pooled round and keeps them until it is destroyed, so an owner that runs
+// many segments (RpcSystem keeps one pool for its lifetime) pays for thread
+// creation once, and a run that never pools never creates a thread.
 //
 // This directory is the only place in src/ where host threads, mutexes, and
 // atomics are allowed (rpcscope-raw-thread lint rule); model code stays in
@@ -49,8 +68,11 @@
 #ifndef RPCSCOPE_SRC_SIM_PARALLEL_SHARD_EXECUTOR_H_
 #define RPCSCOPE_SRC_SIM_PARALLEL_SHARD_EXECUTOR_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "src/common/time.h"
@@ -59,15 +81,53 @@
 
 namespace rpcscope {
 
+// Parked helper threads for pooled rounds. Threads are created on demand by
+// the first Run that needs them (growing to the largest participant count
+// asked for) and live until the pool is destroyed.
+class ShardWorkerPool {
+ public:
+  ShardWorkerPool() = default;
+  ~ShardWorkerPool();
+  ShardWorkerPool(const ShardWorkerPool&) = delete;
+  ShardWorkerPool& operator=(const ShardWorkerPool&) = delete;
+
+  // Calls task(w) for every w in [0, participants): w == 0 on the calling
+  // thread, the rest on helpers. Returns when every call has returned; their
+  // effects are then visible to the caller.
+  void Run(int participants, const std::function<void(int)>& task);
+
+  // Helper threads started so far (0 until the first Run with more than one
+  // participant).
+  int threads() const;
+
+ private:
+  void HelperLoop(int w, uint64_t seen);
+
+  mutable std::mutex mu_;
+  std::condition_variable work_cv_;
+  std::condition_variable done_cv_;
+  // All below guarded by mu_. A Run publishes task_/participants_ and bumps
+  // generation_; helper w runs the task iff w < participants_.
+  uint64_t generation_ = 0;
+  int participants_ = 0;
+  int remaining_ = 0;
+  bool stop_ = false;
+  const std::function<void(int)>* task_ = nullptr;
+  std::vector<std::thread> helpers_;
+};
+
 struct ShardExecutorOptions {
-  // Host worker threads. Clamped to [1, num domains]. 1 runs the same round
-  // loop inline (useful for debugging and as the determinism reference).
+  // Host worker threads. Clamped to [1, num domains]. 1 runs every round
+  // inline on the calling thread (useful for debugging and as the
+  // determinism reference); more only makes heavy rounds eligible for the
+  // pool.
   int worker_threads = 1;
   // Additionally clamp worker_threads to the host's hardware concurrency.
   // Extra workers on a saturated host add wake/park latency per round and can
-  // never add parallelism, so production runs (RpcSystem::RunSharded) enable
-  // this; determinism tests leave it off to exercise real thread interleaving
-  // even on small hosts. Never changes results — only which host threads run.
+  // never add parallelism, so production runs (RpcSystem::RunShardedSegment)
+  // enable this; determinism tests leave it off to exercise real thread
+  // interleaving even on small hosts. Never changes results — only which
+  // host threads run.
   bool clamp_workers_to_hardware = false;
   // Uniform conservative lookahead: a strict lower bound on the virtual-time
   // latency of any cross-domain event, measured from the sender's clock. Used
@@ -91,15 +151,23 @@ struct ShardExecutorOptions {
   // same sequence for every worker-thread count (horizons depend only on
   // event times). Not invoked on the single-domain fast path, which has no
   // rounds — owners flush once after RunToCompletion instead (see
-  // RpcSystem::RunSharded).
+  // RpcSystem::RunShardedSegment).
   std::function<void(SimTime watermark)> barrier_hook;
 };
 
 class ShardExecutor {
  public:
+  // Events a pooled round must move off the coordinator's critical path
+  // (predicted total minus the largest slice) to pay for waking and parking
+  // the helpers: the measured dispatch cost over the measured per-event cost,
+  // rounded up (docs/PARALLEL.md#inline-or-pooled-rounds).
+  static constexpr uint64_t kMinOffloadedEvents = 2048;
+
   // `domains` must stay alive for the executor's lifetime; domain i must have
-  // id i.
-  ShardExecutor(std::vector<SimDomain*> domains, ShardExecutorOptions options);
+  // id i. Pooled rounds run on `pool`, which must be non-null and outlive the
+  // executor; owners keep one pool across runs to reuse its threads.
+  ShardExecutor(std::vector<SimDomain*> domains, ShardExecutorOptions options,
+                ShardWorkerPool* pool);
 
   // Runs all domains to completion (every queue drained). Returns the total
   // number of events executed across domains. With a single domain this is
@@ -112,19 +180,26 @@ class ShardExecutor {
   // run is one uninterrupted round, so events-per-round style derived metrics
   // stay meaningful across shard counts.
   uint64_t rounds() const { return rounds_; }
+  // Rounds handed to the worker pool; rounds() - pooled_rounds() ran inline.
+  uint64_t pooled_rounds() const { return pooled_rounds_; }
   uint64_t cross_domain_events() const { return cross_domain_events_; }
   // (domain, round) pairs skipped because the domain had no event below its
   // horizon — barrier work the per-domain horizons avoided entirely.
   uint64_t idle_domain_rounds() const { return idle_domain_rounds_; }
-  // Worker threads actually used (after both clamps).
+  // Worker threads a pooled round may use (after both clamps).
   int effective_workers() const { return effective_workers_; }
 
  private:
-  uint64_t RunSequential();
-  uint64_t RunThreaded();
   // Peeks every domain and fills next_times_/horizons_/active_. Returns false
   // when every queue is drained (the run is complete).
   bool PlanRound();
+  // Splits active_ into one contiguous slice per participant and returns the
+  // participant count for this round: 1 (inline) unless the pool would
+  // offload at least kMinOffloadedEvents predicted events.
+  int PlanParticipants();
+  // Runs active_[slice_begin_[w], slice_begin_[w + 1]) and records each
+  // domain's executed count; returns the slice total.
+  uint64_t RunSlice(int w);
   // Transfers every outbox entry into its destination queue, canonical order,
   // visiting only domains whose dirty flag is set.
   uint64_t DrainOutboxes();
@@ -138,14 +213,24 @@ class ShardExecutor {
   // Cheapest round trip out of and back into each domain (see PlanRound).
   std::vector<SimDuration> echo_;
   int effective_workers_ = 1;
+  ShardWorkerPool* pool_;
 
   // Round plan, coordinator-written between barriers.
   std::vector<SimTime> next_times_;
   std::vector<SimTime> horizons_;
   std::vector<int> active_;  // Domain ids with an event below their horizon.
   SimTime watermark_ = kMinSimTime;
+  // Events each domain executed the last round it was active: the virtual-
+  // time work prediction behind the inline/pooled choice. Written by the
+  // thread running the domain, read by the coordinator between rounds.
+  std::vector<uint64_t> last_events_;
+  // slice_begin_[w] .. slice_begin_[w + 1] indexes participant w's slice of
+  // active_; slice_events_[w] is what that slice executed.
+  std::vector<size_t> slice_begin_;
+  std::vector<uint64_t> slice_events_;
 
   uint64_t rounds_ = 0;
+  uint64_t pooled_rounds_ = 0;
   uint64_t cross_domain_events_ = 0;
   uint64_t idle_domain_rounds_ = 0;
 };

@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "src/fault/injector.h"
 #include "src/rpc/channel.h"
 #include "src/rpc/server.h"
+#include "src/sim/parallel/burst_load.h"
 
 namespace rpcscope {
 namespace {
@@ -26,6 +28,7 @@ struct ShardedChaosOutcome {
   uint64_t events = 0;
   uint64_t rounds = 0;
   uint64_t cross = 0;
+  uint64_t pooled_rounds = 0;  // Depends on worker count and host cores; never compared.
   int ok = 0;
   int err = 0;
   uint64_t retries_attempted = 0;
@@ -112,12 +115,23 @@ ShardedChaosOutcome RunShardedChaos(uint64_t seed, int worker_threads) {
     });
   }
 
+  // Synthetic bursts (src/sim/parallel/burst_load.h) make the rounds they
+  // cover heavy enough to pool at worker_threads > 1, so channel, client,
+  // server and fault-injector code runs on pool helpers as well as inline.
+  std::vector<SimDomain*> domains;
+  for (int s = 0; s < system.num_shards(); ++s) {
+    domains.push_back(&system.shard(s).domain);
+  }
+  PlantPooledBursts(domains, system.lookahead_matrix().MinOffDiagonal(), 0, Seconds(3),
+                    /*bursts=*/5, /*rounds_per_burst=*/4);
+
   system.RunSharded(worker_threads);
 
   out.digest = system.ShardedEventDigest();
   out.events = system.TotalEventsExecuted();
   out.rounds = system.last_rounds();
   out.cross = system.last_cross_domain_events();
+  out.pooled_rounds = system.last_pooled_rounds();
   out.retries_attempted = client.retries_attempted();
   out.crashes = injector.crashes_applied();
   out.restarts = injector.restarts_applied();
@@ -142,6 +156,12 @@ TEST_P(ShardedChaosTest, ChaosReplayIsWorkerCountInvariant) {
   EXPECT_GT(one.partition_drops, 0u);
   EXPECT_GT(one.loss_drops, 0u);
   EXPECT_EQ(one.gray_windows, 1u);
+
+  EXPECT_EQ(one.pooled_rounds, 0u);
+  // RpcSystem clamps workers to the host's cores; with two, bursts pool.
+  if (std::thread::hardware_concurrency() > 1) {
+    EXPECT_GT(two.pooled_rounds, 0u);
+  }
 
   EXPECT_EQ(one.digest, two.digest);
   EXPECT_EQ(one.events, two.events);

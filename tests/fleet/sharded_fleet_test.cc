@@ -5,15 +5,18 @@
 // must assemble into the same trace trees every run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "src/fleet/mini_fleet.h"
 #include "src/fleet/service_catalog.h"
 #include "src/rpc/client.h"
 #include "src/rpc/server.h"
+#include "src/sim/parallel/burst_load.h"
 
 namespace rpcscope {
 namespace {
@@ -47,6 +50,35 @@ uint64_t HashSpans(const std::vector<Span>& spans) {
   return digest;
 }
 
+// RunMiniFleet with bursts of synthetic local events planted through the
+// measured window (src/sim/parallel/burst_load.h). Rounds inside a burst are
+// heavy enough for the executor to pool them when the run has more than one
+// worker, so the fleet's RPC stack (servers, clients, fabric, stream sinks,
+// policy engines) runs on pool helpers as well as inline — and under TSan.
+// The bursts touch no model state; the round split lands in `pooled_rounds`.
+MiniFleetResult RunMiniFleetWithBursts(const ServiceCatalog& catalog,
+                                       const MiniFleetOptions& options,
+                                       uint64_t* pooled_rounds) {
+  MiniFleet fleet(catalog, options);
+  EXPECT_TRUE(fleet.ArmThrough(kMaxSimTime).ok());
+  RpcSystem& system = fleet.system();
+  std::vector<SimDomain*> domains;
+  for (int s = 0; s < system.num_shards(); ++s) {
+    domains.push_back(&system.shard(s).domain);
+  }
+  PlantPooledBursts(domains, system.lookahead_matrix().MinOffDiagonal(), options.warmup,
+                    options.duration, /*bursts=*/8, /*rounds_per_burst=*/4);
+  fleet.RunSegment(kMaxSimTime);
+  *pooled_rounds = system.last_pooled_rounds();
+  return fleet.Collect();
+}
+
+// Whether a run asking for `workers` can pool: RpcSystem clamps the worker
+// count to the host's cores.
+bool CanPool(int workers) {
+  return std::min(workers, static_cast<int>(std::thread::hardware_concurrency())) > 1;
+}
+
 MiniFleetOptions ShardedOptions(uint64_t seed, int num_shards, int worker_threads) {
   MiniFleetOptions options;
   options.duration = Seconds(1);
@@ -62,12 +94,22 @@ TEST(ShardedFleetTest, WorkerCountDoesNotChangeDigestOrReport) {
   // The acceptance bar for the shard-domain refactor: for a fixed seed and
   // shard count, 1, 2, and 8 worker threads must produce the identical event
   // digest and the identical analysis input (span stream + per-service
-  // report), across several seeds.
+  // report), across several seeds — whether a round ran inline or on the
+  // pool (burst-loaded rounds pool whenever the host has the cores).
   const ServiceCatalog catalog = ServiceCatalog::BuildDefault();
   for (const uint64_t seed : {0xf1ee7ull, 0xbeefull, 0x5eedull}) {
-    const MiniFleetResult one = RunMiniFleet(catalog, ShardedOptions(seed, 8, 1));
-    const MiniFleetResult two = RunMiniFleet(catalog, ShardedOptions(seed, 8, 2));
-    const MiniFleetResult eight = RunMiniFleet(catalog, ShardedOptions(seed, 8, 8));
+    uint64_t pooled_one = 0;
+    uint64_t pooled_two = 0;
+    uint64_t pooled_eight = 0;
+    const MiniFleetResult one =
+        RunMiniFleetWithBursts(catalog, ShardedOptions(seed, 8, 1), &pooled_one);
+    const MiniFleetResult two =
+        RunMiniFleetWithBursts(catalog, ShardedOptions(seed, 8, 2), &pooled_two);
+    const MiniFleetResult eight =
+        RunMiniFleetWithBursts(catalog, ShardedOptions(seed, 8, 8), &pooled_eight);
+    EXPECT_EQ(pooled_one, 0u) << "seed " << seed;
+    EXPECT_EQ(pooled_two > 0, CanPool(2)) << "seed " << seed;
+    EXPECT_EQ(pooled_eight > 0, CanPool(8)) << "seed " << seed;
 
     EXPECT_GT(one.events_executed, 0u) << "seed " << seed;
     EXPECT_GT(one.spans.size(), 0u) << "seed " << seed;
@@ -310,10 +352,15 @@ TEST(ShardedFleetTest, PolicyRolloutSwapIsWorkerCountInvariant) {
   stage.defaults.attempt_timeout = Millis(50);
   stage.defaults.max_retries = 1;
   for (const uint64_t seed : {0xf1ee7ull, 0x5eedull}) {
+    // Bursts make the rounds around the swap pool at workers > 1, so policy
+    // engines resolve on helper threads too.
     auto with_rollout = [&](int workers) {
       MiniFleetOptions options = ShardedOptions(seed, 8, workers);
       options.policy.AddStage(Millis(600), stage);
-      return RunMiniFleet(catalog, options);
+      uint64_t pooled = 0;
+      MiniFleetResult result = RunMiniFleetWithBursts(catalog, options, &pooled);
+      EXPECT_EQ(pooled > 0, CanPool(workers)) << "seed " << seed << " workers " << workers;
+      return result;
     };
     const MiniFleetResult one = with_rollout(1);
     const MiniFleetResult two = with_rollout(2);
@@ -332,7 +379,9 @@ TEST(ShardedFleetTest, PolicyRolloutSwapIsWorkerCountInvariant) {
         << "seed " << seed;
 
     // The swap is not a no-op: the same fleet without the timeline diverges.
-    const MiniFleetResult baseline = RunMiniFleet(catalog, ShardedOptions(seed, 8, 2));
+    uint64_t pooled = 0;
+    const MiniFleetResult baseline =
+        RunMiniFleetWithBursts(catalog, ShardedOptions(seed, 8, 2), &pooled);
     EXPECT_EQ(baseline.policy_version, 0u) << "seed " << seed;
     EXPECT_NE(baseline.event_digest, one.event_digest) << "seed " << seed;
   }

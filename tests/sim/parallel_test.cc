@@ -5,14 +5,18 @@
 // primitive the round loop is built on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/rpc/rpc_system.h"
 #include "src/sim/domain.h"
 #include "src/sim/lookahead.h"
+#include "src/sim/parallel/burst_load.h"
 #include "src/sim/parallel/shard_executor.h"
 #include "src/sim/simulator.h"
 
@@ -74,7 +78,8 @@ TEST(ShardExecutorTest, SingleDomainMatchesPlainSimulatorRun) {
   SimDomain domain(0, 1);
   load(domain.sim());
   std::vector<SimDomain*> domains = {&domain};
-  ShardExecutor executor(domains, ShardExecutorOptions{});
+  ShardWorkerPool pool;
+  ShardExecutor executor(domains, ShardExecutorOptions{}, &pool);
   executor.RunToCompletion();
 
   EXPECT_EQ(domain.sim().events_executed(), plain.events_executed());
@@ -130,7 +135,8 @@ PingPongResult RunPingPong(int worker_threads) {
   ShardExecutorOptions opts;
   opts.worker_threads = worker_threads;
   opts.lookahead = kLookahead;
-  ShardExecutor executor(domains, opts);
+  ShardWorkerPool pool;
+  ShardExecutor executor(domains, opts, &pool);
   executor.RunToCompletion();
 
   PingPongResult r;
@@ -204,7 +210,8 @@ TEST(ShardExecutorTest, ManyDomainRingIsWorkerCountInvariant) {
     ShardExecutorOptions opts;
     opts.worker_threads = worker_threads;
     opts.lookahead = kLookahead;
-    ShardExecutor executor(domains, opts);
+    ShardWorkerPool pool;
+  ShardExecutor executor(domains, opts, &pool);
     executor.RunToCompletion();
     std::vector<uint64_t> digests;
     for (SimDomain* d : domains) {
@@ -310,7 +317,8 @@ AsymResult RunAsymmetric(uint64_t seed, int worker_threads, bool use_matrix) {
   }
   AsymResult r;
   opts.barrier_hook = [&r](SimTime w) { r.watermarks.push_back(w); };
-  ShardExecutor executor(domains, opts);
+  ShardWorkerPool pool;
+  ShardExecutor executor(domains, opts, &pool);
   executor.RunToCompletion();
 
   for (SimDomain* d : domains) {
@@ -395,7 +403,8 @@ TEST(ShardExecutorTest, DrainOrderIsCanonicalNotArrivalOrder) {
     ShardExecutorOptions opts;
     opts.worker_threads = worker_threads;
     opts.lookahead = kLookahead;
-    ShardExecutor executor(domains, opts);
+    ShardWorkerPool pool;
+  ShardExecutor executor(domains, opts, &pool);
     executor.RunToCompletion();
     return *order;
   };
@@ -404,6 +413,173 @@ TEST(ShardExecutorTest, DrainOrderIsCanonicalNotArrivalOrder) {
   EXPECT_EQ(run(1), expected);
   EXPECT_EQ(run(2), expected);
   EXPECT_EQ(run(3), expected);
+}
+
+// Burst workload for the inline/pooled tests. A ring of cross-domain hops
+// (one token per domain) keeps every domain coupled, so quiet stretches are
+// many short rounds of a few events each: inline. Every burst, each domain
+// also runs a dense stretch of local ticks, ~1000 per round, for several
+// rounds — far above ShardExecutor::kMinOffloadedEvents once split across
+// workers, so those rounds go to the pool. `bound(s, d)` is the executor's
+// lookahead for the pair; the burst geometry scales with its minimum.
+struct BurstLoad {
+  std::vector<SimDomain*> domains;
+  std::vector<SimDuration> hop_delay;  // hop_delay[i]: i -> i+1, >= bound.
+  SimTime end = 0;
+};
+
+struct BurstHop {
+  const BurstLoad* load;
+  int at;
+  void operator()() const {
+    SimDomain* home = load->domains[static_cast<size_t>(at)];
+    const SimTime now = home->sim().Now();
+    if (now >= load->end) {
+      return;
+    }
+    const int next = (at + 1) % static_cast<int>(load->domains.size());
+    home->PostRemote(next, AddClamped(now, load->hop_delay[static_cast<size_t>(at)]),
+                     SimCallback(BurstHop{load, next}));
+  }
+};
+
+// Plants `bursts` bursts into `load` starting at `start`; sets load->end.
+template <typename BoundFn>
+void PlantBurstLoad(BurstLoad* load, SimTime start, int bursts, BoundFn bound) {
+  const int n = static_cast<int>(load->domains.size());
+  SimDuration min_bound = kMaxSimTime;
+  load->hop_delay.assign(static_cast<size_t>(n), 0);
+  for (int i = 0; i < n; ++i) {
+    const int next = (i + 1) % n;
+    load->hop_delay[static_cast<size_t>(i)] = bound(i, next) + 1;
+    for (int d = 0; d < n; ++d) {
+      if (d != i) {
+        min_bound = std::min(min_bound, bound(i, d));
+      }
+    }
+  }
+  const SimDuration tick = std::max<SimDuration>(min_bound / 1000, 1);
+  const SimDuration quiet = 20 * min_bound;
+  const SimDuration burst = 6 * min_bound;
+  load->end = start + quiet + bursts * (burst + quiet);
+  for (int i = 0; i < n; ++i) {
+    load->domains[static_cast<size_t>(i)]->sim().ScheduleAt(start + i,
+                                                            SimCallback(BurstHop{load, i}));
+  }
+  for (int b = 0; b < bursts; ++b) {
+    PlantBurst(load->domains, start + quiet + b * (burst + quiet), burst, tick);
+  }
+}
+
+struct BurstResult {
+  std::vector<uint64_t> fingerprint;  // Per-domain digests + executor stats.
+  uint64_t rounds = 0;
+  uint64_t pooled_rounds = 0;
+};
+
+BurstResult RunBursts(int worker_threads) {
+  constexpr int kDomains = 8;
+  constexpr SimDuration kLookahead = 1000;
+  std::vector<std::unique_ptr<SimDomain>> owned;
+  BurstLoad load;
+  for (int i = 0; i < kDomains; ++i) {
+    owned.push_back(std::make_unique<SimDomain>(i, kDomains));
+    load.domains.push_back(owned.back().get());
+  }
+  PlantBurstLoad(&load, 0, 3, [](int, int) { return kLookahead; });
+  ShardExecutorOptions opts;
+  opts.worker_threads = worker_threads;
+  opts.lookahead = kLookahead;
+  ShardWorkerPool pool;
+  ShardExecutor executor(load.domains, opts, &pool);
+  executor.RunToCompletion();
+  BurstResult r;
+  for (SimDomain* d : load.domains) {
+    r.fingerprint.push_back(d->sim().event_digest());
+    r.fingerprint.push_back(d->sim().events_executed());
+  }
+  r.fingerprint.push_back(executor.rounds());
+  r.fingerprint.push_back(executor.cross_domain_events());
+  r.rounds = executor.rounds();
+  r.pooled_rounds = executor.pooled_rounds();
+  return r;
+}
+
+TEST(ShardExecutorTest, InlineAndPooledRoundsGiveTheSameExecution) {
+  // One run with rounds on both sides of the pooling threshold: the quiet
+  // stretches run inline, the bursts on the pool. Which branch ran a round
+  // must not show in any digest, for any worker count.
+  const BurstResult one = RunBursts(1);
+  EXPECT_EQ(one.pooled_rounds, 0u) << "one worker must never pool";
+  for (int workers : {2, 4, 8}) {
+    const BurstResult r = RunBursts(workers);
+    EXPECT_EQ(r.fingerprint, one.fingerprint) << "workers " << workers;
+    EXPECT_GT(r.pooled_rounds, 0u) << "workers " << workers;
+    EXPECT_LT(r.pooled_rounds, r.rounds) << "workers " << workers;
+  }
+}
+
+TEST(ShardExecutorTest, ConsecutiveSegmentsReuseOnePoolAndMatchAFreshSystem) {
+  // Several RunShardedSegment calls on one RpcSystem, each with bursts heavy
+  // enough to pool, must match the same segments on a fresh 1-worker system
+  // digest for digest — and reuse the threads the first pooled round started
+  // instead of spawning a pool per call.
+  constexpr int kSegments = 3;
+  struct SegmentStats {
+    std::vector<uint64_t> fingerprint;
+    std::vector<int> pool_threads;
+    std::vector<uint64_t> pooled_rounds;
+  };
+  auto run = [](int workers) {
+    RpcSystemOptions options;
+    options.num_shards = 8;
+    RpcSystem system(options);
+    std::vector<BurstLoad> loads(kSegments);
+    SegmentStats stats;
+    SimTime start = 0;
+    for (int k = 0; k < kSegments; ++k) {
+      BurstLoad& load = loads[static_cast<size_t>(k)];
+      for (int s = 0; s < system.num_shards(); ++s) {
+        load.domains.push_back(&system.shard(s).domain);
+      }
+      PlantBurstLoad(&load, start, 2, [&system](int s, int d) {
+        return system.lookahead_matrix().At(s, d);
+      });
+      system.RunShardedSegment(workers, load.end);
+      stats.fingerprint.push_back(system.ShardedEventDigest());
+      stats.fingerprint.push_back(system.TotalEventsExecuted());
+      stats.fingerprint.push_back(system.last_rounds());
+      stats.fingerprint.push_back(system.last_cross_domain_events());
+      stats.pool_threads.push_back(system.pool_threads());
+      stats.pooled_rounds.push_back(system.last_pooled_rounds());
+      start = load.end + system.lookahead_matrix().MinOffDiagonal() * 100;
+    }
+    return stats;
+  };
+
+  const SegmentStats fresh = run(1);
+  const SegmentStats reused = run(4);
+  EXPECT_EQ(reused.fingerprint, fresh.fingerprint);
+  EXPECT_EQ(fresh.pool_threads, std::vector<int>(kSegments, 0));
+  EXPECT_EQ(fresh.pooled_rounds, std::vector<uint64_t>(kSegments, 0));
+  // RunShardedSegment clamps workers to the host's cores.
+  const int workers = std::min(4, std::max(1, static_cast<int>(std::thread::hardware_concurrency())));
+  EXPECT_EQ(reused.pool_threads, std::vector<int>(kSegments, workers - 1));
+  for (uint64_t pooled : reused.pooled_rounds) {
+    if (workers > 1) {
+      EXPECT_GT(pooled, 0u);
+    } else {
+      EXPECT_EQ(pooled, 0u);
+    }
+  }
+}
+
+TEST(ShardExecutorTest, SingleDomainSystemNeverStartsPoolThreads) {
+  RpcSystem system(RpcSystemOptions{});
+  system.sim().ScheduleAt(5, []() {});
+  EXPECT_EQ(system.RunSharded(4), 1u);
+  EXPECT_EQ(system.pool_threads(), 0);
+  EXPECT_EQ(system.last_pooled_rounds(), 0u);
 }
 
 }  // namespace
