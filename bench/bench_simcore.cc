@@ -8,8 +8,8 @@
 //   Ladder  — SimCallback on the ladder/calendar queue (production default).
 // Plus the mini-fleet end-to-end events/sec on both queue kinds, the sharded
 // executor rows (mini-fleet, burst rounds of a known size, pool dispatch
-// cost), and frame
-// encode with reused WireScratch vs per-call allocation.
+// cost), frame encode with reused WireScratch vs per-call allocation, frame
+// decode, and CRC32C.
 //
 // Refresh the tracked baseline with: tools/run_bench_simcore.sh
 #include <benchmark/benchmark.h>
@@ -27,6 +27,7 @@
 #include "src/sim/parallel/burst_load.h"
 #include "src/sim/parallel/shard_executor.h"
 #include "src/sim/simulator.h"
+#include "src/wire/checksum.h"
 #include "src/wire/message.h"
 
 namespace rpcscope {
@@ -428,6 +429,40 @@ void BM_EncodeFrame_Scratch(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(msg.ByteSize()));
 }
 BENCHMARK(BM_EncodeFrame_Scratch)->Arg(1530)->Arg(32768);
+
+// Decode (decrypt, CRC-check, decompress, parse) of the frame the encode rows
+// produce, with a reused WireScratch as Client/Server hold.
+void BM_DecodeFrame_Scratch(benchmark::State& state) {
+  Rng rng(7);
+  const Message msg =
+      Message::GeneratePayload(rng, static_cast<size_t>(state.range(0)), 0.6);
+  WireScratch scratch;
+  const WireFrame frame = EncodeFrame(Payload::Real(msg), 99, 1, scratch);
+  for (auto _ : state) {
+    Result<Payload> decoded = DecodeFrame(frame, 99, scratch);
+    if (!decoded.ok()) {
+      state.SkipWithError("decode failed");
+      break;
+    }
+    benchmark::DoNotOptimize(decoded->SerializedSize());
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(msg.ByteSize()));
+}
+BENCHMARK(BM_DecodeFrame_Scratch)->Arg(1530)->Arg(32768);
+
+// The CRC32C that frames every message and guards every checkpoint section.
+void BM_Crc32c(benchmark::State& state) {
+  Rng rng(7);
+  std::vector<uint8_t> data(static_cast<size_t>(state.range(0)));
+  for (auto& b : data) {
+    b = static_cast<uint8_t>(rng.NextBounded(256));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32c(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(4096)->Arg(1048576);
 
 }  // namespace
 }  // namespace rpcscope

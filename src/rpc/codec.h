@@ -40,7 +40,7 @@ struct WireScratch {
   std::vector<uint8_t> serialized;    // Encode: pre-compression message bytes.
   std::vector<uint8_t> decrypted;     // Decode: body after the cipher pass.
   std::vector<uint8_t> decompressed;  // Decode: bytes handed to Message::Parse.
-  RatelScratch lz;                    // Compressor hash-chain state (~256 KiB).
+  RatelScratch lz;                    // Compressor hash-table state (128 KiB).
 };
 
 // Encodes a payload for transmission. `key` is the channel encryption key and

@@ -1,10 +1,17 @@
 #include "src/wire/cipher.h"
 
+#include <bit>
 #include <cstddef>
+#include <cstring>
 
 #include "src/common/rng.h"
 
 namespace rpcscope {
+
+// Keystream byte b of a block is bits [8b, 8b+8): little-endian, so one
+// native 64-bit load/XOR/store applies a whole block.
+static_assert(std::endian::native == std::endian::little,
+              "StreamCipher's word XOR assumes a little-endian host");
 
 StreamCipher::StreamCipher(uint64_t key, uint64_t nonce) {
   uint64_t sm = key ^ Mix64(nonce);
@@ -27,19 +34,19 @@ uint64_t StreamCipher::NextBlock() {
 }
 
 void StreamCipher::Apply(std::vector<uint8_t>& data) {
+  uint8_t* const bytes = data.data();
+  const size_t size = data.size();
   size_t i = 0;
-  while (i + 8 <= data.size()) {
-    const uint64_t ks = NextBlock();
-    for (int b = 0; b < 8; ++b) {
-      data[i + static_cast<size_t>(b)] ^= static_cast<uint8_t>(ks >> (8 * b));
-    }
-    i += 8;
+  for (; i + 8 <= size; i += 8) {
+    uint64_t word;
+    std::memcpy(&word, bytes + i, sizeof(word));
+    word ^= NextBlock();
+    std::memcpy(bytes + i, &word, sizeof(word));
   }
-  if (i < data.size()) {
+  if (i < size) {
     const uint64_t ks = NextBlock();
-    int b = 0;
-    for (; i < data.size(); ++i, ++b) {
-      data[i] ^= static_cast<uint8_t>(ks >> (8 * b));
+    for (int b = 0; i < size; ++i, ++b) {
+      bytes[i] ^= static_cast<uint8_t>(ks >> (8 * b));
     }
   }
 }

@@ -2,8 +2,9 @@
 //
 // Compression is the single largest RPC cycle-tax component in the study
 // (3.1% of all fleet cycles, Fig. 20b), so the stack compresses real bytes
-// with a real algorithm: greedy hash-chain LZ with 64 KiB windows, emitting
-// (literal-run, match) token pairs. Ratios and byte counts feed both the
+// with a real algorithm: greedy LZ with a 64 KiB window whose match finder
+// is a single-probe hash table (one candidate per 4-byte hash, no chains),
+// emitting (literal-run, match) token pairs. Ratios and byte counts feed both the
 // latency model (bytes on the wire) and the cycle model (cycles/byte).
 #ifndef RPCSCOPE_SRC_WIRE_COMPRESSOR_H_
 #define RPCSCOPE_SRC_WIRE_COMPRESSOR_H_
@@ -15,20 +16,23 @@
 
 namespace rpcscope {
 
-// Reusable compression state. The hash table is ~256 KiB; hot paths (the
-// codec encodes a frame per RPC attempt) hold one of these and reuse it so
-// per-message compression is allocation-free in steady state. Slots are
-// generation-tagged ((generation << 32) | position), so reuse costs a single
-// counter bump instead of a 256 KiB clear per message.
+// Reusable compression state. The hash table is 128 KiB (32K 32-bit slots);
+// hot paths (the codec encodes a frame per RPC attempt) hold one of these and
+// reuse it so per-message compression is allocation-free in steady state.
+// Each call owns the positions [base, base + n) of the 32-bit slot space: a
+// slot holds base + position, and base advances by n + 1 per call, so slots
+// left by earlier calls are all below the current base and read as empty.
+// Reuse therefore costs no clear; only when base would wrap is the table
+// zeroed and base restarted at 1.
 struct RatelScratch {
-  std::vector<uint64_t> slots;
-  uint32_t generation = 0;
+  std::vector<uint32_t> slots;
+  uint32_t base = 0;
 };
 
 // Compresses `input` into a self-describing block, replacing the contents of
-// `out`. Always succeeds; for incompressible input the output is |input| +
-// small header (a stored block). `scratch` is reset internally and may be
-// reused across calls.
+// `out`. Always succeeds for inputs under 4 GiB (positions are 32-bit); for
+// incompressible input the output is |input| + small header (a stored block).
+// `scratch` is reset internally and may be reused across calls.
 void RatelCompress(const std::vector<uint8_t>& input, RatelScratch& scratch,
                    std::vector<uint8_t>& out);
 

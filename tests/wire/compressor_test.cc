@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/common/rng.h"
 #include "src/wire/message.h"
+#include "src/wire/varint.h"
 
 namespace rpcscope {
 namespace {
@@ -14,6 +17,84 @@ std::vector<uint8_t> RandomBytes(Rng& rng, size_t n) {
     b = static_cast<uint8_t>(rng.NextBounded(256));
   }
   return out;
+}
+
+std::vector<std::vector<uint8_t>> PayloadCorpus(uint64_t seed, int count) {
+  Rng rng(seed);
+  std::vector<std::vector<uint8_t>> corpus;
+  corpus.reserve(static_cast<size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    const size_t size = 1 + rng.NextBounded(i % 50 == 0 ? 70000 : 3000);
+    const double redundancy = static_cast<double>(i % 5) / 4.0;
+    corpus.push_back(Message::GeneratePayload(rng, size, redundancy).Serialize());
+  }
+  return corpus;
+}
+
+TEST(CompressorTest, ReusedScratchMatchesFreshScratch) {
+  const auto corpus = PayloadCorpus(31, 1000);
+  RatelScratch reused;
+  std::vector<uint8_t> out;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    RatelCompress(corpus[i], reused, out);
+    ASSERT_EQ(out, RatelCompress(corpus[i])) << i;
+  }
+}
+
+TEST(CompressorTest, ScratchBaseWrapResetsWithoutChangingBytes) {
+  const auto corpus = PayloadCorpus(32, 40);
+  for (size_t i = 0; i + 1 < corpus.size(); ++i) {
+    const auto& warm = corpus[i];
+    const auto& input = corpus[i + 1];
+    const std::vector<uint8_t> expected = RatelCompress(input);
+    // Bases so close to the top that this call must zero the table and
+    // restart (gaps 1 and n), and a base leaving exactly room for this call
+    // (gap n + 1), which must not.
+    const auto n = static_cast<uint32_t>(input.size());
+    for (uint32_t gap : {uint32_t{1}, n, n + 1}) {
+      RatelScratch scratch;
+      std::vector<uint8_t> out;
+      RatelCompress(warm, scratch, out);  // Leave stale slots behind.
+      scratch.base = UINT32_MAX - gap;
+      RatelCompress(input, scratch, out);
+      EXPECT_EQ(out, expected) << i << " gap " << gap;
+      RatelCompress(warm, scratch, out);  // Next call after the wrap.
+      EXPECT_EQ(out, RatelCompress(warm)) << i << " gap " << gap;
+    }
+  }
+}
+
+// A hand-built LZ block: `prefix` as a literal run, then one match of
+// `len` bytes at `offset`, then a 3-byte literal tail. The expected output
+// is computed one byte at a time.
+TEST(CompressorTest, DecodesOverlappingMatchesAtEveryShortOffset) {
+  std::vector<uint8_t> prefix(16);
+  for (size_t i = 0; i < prefix.size(); ++i) {
+    prefix[i] = static_cast<uint8_t>(0x40 + i);
+  }
+  const std::vector<uint8_t> tail = {7, 8, 9};
+  for (uint64_t offset = 1; offset <= 16; ++offset) {
+    for (uint64_t len : {4u, 5u, 7u, 9u, 12u, 15u, 17u, 23u, 31u, 33u, 63u, 100u, 1001u}) {
+      std::vector<uint8_t> expected = prefix;
+      for (uint64_t i = 0; i < len; ++i) {
+        expected.push_back(expected[expected.size() - offset]);
+      }
+      expected.insert(expected.end(), tail.begin(), tail.end());
+
+      std::vector<uint8_t> block = {1};  // LZ block.
+      PutVarint64(block, expected.size());
+      PutVarint64(block, prefix.size() << 1);
+      block.insert(block.end(), prefix.begin(), prefix.end());
+      PutVarint64(block, ((len - 4) << 1) | 1);
+      PutVarint64(block, offset);
+      PutVarint64(block, tail.size() << 1);
+      block.insert(block.end(), tail.begin(), tail.end());
+
+      auto out = RatelDecompress(block);
+      ASSERT_TRUE(out.ok()) << "offset " << offset << " len " << len;
+      EXPECT_EQ(*out, expected) << "offset " << offset << " len " << len;
+    }
+  }
 }
 
 TEST(CompressorTest, RoundTripsEmpty) {

@@ -77,6 +77,17 @@ TEST(FuzzTest, DecompressSurvivesMutatedBlocks) {
   }
 }
 
+TEST(FuzzTest, TinyBlockDeclaringOneGibIsRejectedWithoutLargeAllocation) {
+  // [LZ kind][varint 1 GiB][a 1-byte literal run][a 4-byte match at offset 1]:
+  // 10 bytes that claim 2^30 output bytes and produce 5.
+  const std::vector<uint8_t> block = {1, 0x80, 0x80, 0x80, 0x80, 0x04, 2, 'z', 1, 1};
+  ASSERT_EQ(block.size(), 10u);
+  std::vector<uint8_t> out;
+  EXPECT_FALSE(RatelDecompress(block, out).ok());
+  EXPECT_LE(out.capacity(), (size_t{1} << 20) + 16);
+  EXPECT_FALSE(RatelDecompress(block).ok());
+}
+
 TEST(FuzzTest, SpanBatchDecodeSurvivesMutation) {
   Rng rng(105);
   std::vector<Span> spans(20);

@@ -4,7 +4,14 @@
 Reads a google-benchmark JSON produced with a BM_MiniFleetSharded filter and
 enforces, for a given shard count:
 
-  real_time(workers = max measured) <= max_slowdown * real_time(workers = 1)
+  median real_time(workers = max measured)
+      <= max_slowdown * median real_time(workers = 1)
+
+Each median is taken over every repetition of that row in the file (run the
+sweep with --benchmark_repetitions=N --benchmark_enable_random_interleaving=true
+so the repetitions of the two rows interleave in time); a file with one
+repetition per row reduces to comparing the two single times. One repetition
+landing in a slow phase of a shared host cannot fail the gate on its own.
 
 i.e. adding worker threads must never cost more than the allowed slop (the
 ShardExecutor clamps workers to hardware concurrency, so even a 1-CPU host
@@ -21,6 +28,7 @@ Exit codes: 0 ok, 1 contract violated, 2 malformed/missing input.
 import argparse
 import json
 import re
+import statistics
 import sys
 
 
@@ -39,19 +47,20 @@ def main() -> int:
         return 2
 
     # Aggregate runs (mean/median/stddev) would double-count; keep raw
-    # iterations only. run_type is absent in very old library versions, in
-    # which case every entry is a plain run.
+    # repetitions only and take their median here. run_type is absent in very
+    # old library versions, in which case every entry is a plain run.
     pattern = re.compile(
         rf"^BM_MiniFleetSharded/shards:{args.shards}/workers:(\d+)\b"
     )
-    by_workers = {}
+    repetitions = {}
     for bench in data.get("benchmarks", []):
         if bench.get("run_type", "iteration") != "iteration":
             continue
         match = pattern.match(bench.get("name", ""))
         if not match:
             continue
-        by_workers[int(match.group(1))] = float(bench["real_time"])
+        repetitions.setdefault(int(match.group(1)), []).append(float(bench["real_time"]))
+    by_workers = {w: statistics.median(times) for w, times in repetitions.items()}
 
     if 1 not in by_workers or len(by_workers) < 2:
         print(
@@ -67,12 +76,16 @@ def main() -> int:
     ratio = by_workers[max_workers] / base
     num_cpus = data.get("context", {}).get("num_cpus", "?")
     print(
-        f"shards:{args.shards}  workers:1 = {base:.0f} ns/iter, "
+        f"shards:{args.shards}  median workers:1 = {base:.0f} ns/iter, "
         f"workers:{max_workers} = {by_workers[max_workers]:.0f} ns/iter "
         f"(ratio {ratio:.3f}, speedup {1.0 / ratio:.2f}x, host cpus {num_cpus})"
     )
     for workers in sorted(by_workers):
-        print(f"  workers:{workers:<3d} {by_workers[workers]:12.0f} ns/iter")
+        times = " ".join(f"{t:.0f}" for t in repetitions[workers])
+        print(
+            f"  workers:{workers:<3d} median {by_workers[workers]:12.0f} ns/iter "
+            f"over {len(repetitions[workers])} repetition(s): {times}"
+        )
 
     if ratio > args.max_slowdown:
         print(
