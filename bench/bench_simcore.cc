@@ -9,7 +9,7 @@
 // Plus the mini-fleet end-to-end events/sec on both queue kinds, the sharded
 // executor rows (mini-fleet, burst rounds of a known size, pool dispatch
 // cost), frame encode with reused WireScratch vs per-call allocation, frame
-// decode, and CRC32C.
+// decode, CRC32C, and the post-run span pipeline (merge, forest, replay).
 //
 // Refresh the tracked baseline with: tools/run_bench_simcore.sh
 #include <benchmark/benchmark.h>
@@ -27,6 +27,7 @@
 #include "src/sim/parallel/burst_load.h"
 #include "src/sim/parallel/shard_executor.h"
 #include "src/sim/simulator.h"
+#include "src/trace/tree.h"
 #include "src/wire/checksum.h"
 #include "src/wire/message.h"
 
@@ -463,6 +464,102 @@ void BM_Crc32c(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Crc32c)->Arg(64)->Arg(4096)->Arg(1048576);
+
+// ---------------------------------------------------------------------------
+// Post-run span pipeline (docs/PERF.md#post-run-span-pipeline): the canonical
+// merge, trace-tree assembly and the reference replay that every DES run's
+// consumers pay after the simulation, over ~200k synthetic spans — the span
+// count of perfbench's fleet_des pass.
+
+constexpr size_t kPipelineSpans = 200000;
+
+// Traces of a root with up to three children and up to two grandchildren
+// each, roots arriving ~600 us apart in virtual time (about 30 s for 200k
+// spans), spans spread over the system's shards at random. Each trace is
+// recorded leaf-first, as a tracer records nested calls when they complete,
+// so record order is close to, but not, start-time order.
+void RecordSyntheticSpans(RpcSystem& system, size_t total) {
+  Rng rng(7);
+  uint64_t next_id = 1;
+  SimTime arrival = 0;
+  std::vector<Span> trace;
+  size_t made = 0;
+  while (made < total) {
+    trace.clear();
+    auto add = [&](const Span* parent) {
+      Span s;
+      s.trace_id = parent == nullptr ? Mix64(next_id++) | 1 : parent->trace_id;
+      s.span_id = Mix64(next_id++) | 1;
+      s.parent_span_id = parent == nullptr ? 0 : parent->span_id;
+      s.start_time = parent == nullptr
+                         ? arrival
+                         : parent->start_time + static_cast<SimDuration>(rng.NextBounded(
+                                                    static_cast<uint64_t>(Micros(200))));
+      s.method_id = static_cast<int32_t>(rng.NextBounded(64));
+      s.latency[RpcComponent::kServerApp] =
+          Micros(50) + static_cast<SimDuration>(rng.NextBounded(static_cast<uint64_t>(Millis(1))));
+      trace.push_back(s);
+      return s;
+    };
+    arrival += static_cast<SimDuration>(rng.NextBounded(static_cast<uint64_t>(Micros(1200))));
+    const Span root = add(nullptr);
+    const uint64_t children = rng.NextBounded(4);
+    for (uint64_t c = 0; c < children; ++c) {
+      const Span child = add(&root);
+      const uint64_t grandchildren = rng.NextBounded(3);
+      for (uint64_t g = 0; g < grandchildren; ++g) {
+        add(&child);
+      }
+    }
+    for (auto it = trace.rbegin(); it != trace.rend(); ++it) {
+      const uint64_t shard = rng.NextBounded(static_cast<uint64_t>(system.num_shards()));
+      system.shard(static_cast<int>(shard)).tracer.Record(*it);
+    }
+    made += trace.size();
+  }
+}
+
+std::unique_ptr<RpcSystem> SyntheticSpanSystem(int num_shards) {
+  RpcSystemOptions options;
+  options.num_shards = num_shards;
+  options.observability.streaming = false;
+  auto system = std::make_unique<RpcSystem>(options);
+  RecordSyntheticSpans(*system, kPipelineSpans);
+  return system;
+}
+
+void BM_MergedSpans(benchmark::State& state) {
+  const std::unique_ptr<RpcSystem> system = SyntheticSpanSystem(static_cast<int>(state.range(0)));
+  size_t spans = 0;
+  for (auto _ : state) {
+    const std::vector<Span> merged = system->MergedSpans();
+    spans += merged.size();
+    benchmark::DoNotOptimize(merged.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(spans));
+}
+BENCHMARK(BM_MergedSpans)->ArgName("shards")->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+
+void BM_TraceForest(benchmark::State& state) {
+  const std::vector<Span> spans = SyntheticSpanSystem(8)->MergedSpans();
+  for (auto _ : state) {
+    const TraceForest forest(spans);
+    benchmark::DoNotOptimize(forest.trace_shapes().data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(spans.size()));
+}
+BENCHMARK(BM_TraceForest)->Unit(benchmark::kMillisecond);
+
+void BM_ReplayIntoHub(benchmark::State& state) {
+  const std::vector<Span> spans = SyntheticSpanSystem(8)->MergedSpans();
+  ObservabilityOptions options;
+  options.window = Seconds(1);  // perfbench's fleet workloads use 1 s windows.
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ReplayIntoHub(spans, options).AggregateDigest());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(spans.size()));
+}
+BENCHMARK(BM_ReplayIntoHub)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace rpcscope

@@ -448,32 +448,30 @@ MiniFleetResult MiniFleet::Collect() {
   for (const auto& fe : frontends_) {
     result.root_calls += fe->root_count;
   }
+  const ObservabilityHub* hub = system_.hub();
+  // One canonical merge serves both the sharded span list and the replay
+  // below; a single domain's spans are kept in record order, as always.
+  std::vector<Span> merged;
+  if (system_.num_shards() > 1 || hub != nullptr) {
+    merged = system_.MergedSpans();
+  }
   if (system_.num_shards() > 1) {
     result.events_executed = system_.TotalEventsExecuted();
     result.event_digest = system_.ShardedEventDigest();
-    result.rounds = system_.last_rounds();
-    result.cross_domain_events = system_.last_cross_domain_events();
-    const std::vector<Span> merged = system_.MergedSpans();
-    result.spans.reserve(merged.size());
-    for (const Span& span : merged) {
-      if (span.start_time >= options_.warmup) {
-        result.spans.push_back(span);
-        ++result.spans_per_service[span.service_id];
-      }
-    }
   } else {
     result.events_executed = system_.sim().events_executed();
     result.event_digest = system_.sim().event_digest();
-    // The executor's single-domain fast path reports one round, so per-round
-    // derived stats stay meaningful across shard counts.
-    result.rounds = system_.last_rounds();
-    result.cross_domain_events = system_.last_cross_domain_events();
-    result.spans.reserve(system_.tracer().spans().size());
-    for (const Span& span : system_.tracer().spans()) {
-      if (span.start_time >= options_.warmup) {
-        result.spans.push_back(span);
-        ++result.spans_per_service[span.service_id];
-      }
+  }
+  // The executor's single-domain fast path reports one round, so per-round
+  // derived stats stay meaningful across shard counts.
+  result.rounds = system_.last_rounds();
+  result.cross_domain_events = system_.last_cross_domain_events();
+  const std::vector<Span>& spans = system_.num_shards() > 1 ? merged : system_.tracer().spans();
+  result.spans.reserve(spans.size());
+  for (const Span& span : spans) {
+    if (span.start_time >= options_.warmup) {
+      result.spans.push_back(span);
+      ++result.spans_per_service[span.service_id];
     }
   }
 
@@ -487,7 +485,7 @@ MiniFleetResult MiniFleet::Collect() {
     result.avoided_tax_cycles += metrics.GetCounter("client.avoided_tax_cycles").value();
   }
 
-  if (const ObservabilityHub* hub = system_.hub(); hub != nullptr) {
+  if (hub != nullptr) {
     result.streamed_aggregate_digest = hub->AggregateDigest();
     result.exemplar_digest = hub->ExemplarDigest();
     result.spans_streamed = hub->spans_ingested();
@@ -503,7 +501,7 @@ MiniFleetResult MiniFleet::Collect() {
     // a fresh hub. Equal aggregate digests prove the barrier-streamed
     // pipeline lost nothing and double-counted nothing.
     result.replayed_aggregate_digest =
-        ReplayIntoHub(system_.MergedSpans(), options_.observability).AggregateDigest();
+        ReplayIntoHub(merged, options_.observability).AggregateDigest();
   }
   return result;
 }

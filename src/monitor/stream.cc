@@ -524,8 +524,19 @@ Status ShardStreamSink::RestoreFrom(CheckpointReader& r) {
 }
 
 void ShardStreamSink::OnSpan(const Span& span) {
-  ++spans_seen_;
   // Aggregates first: the buffer cap only ever costs exemplars.
+  FoldAggregates(span);
+  if (buffered_spans_.size() >= options_.max_buffered_spans) {
+    ++dropped_spans_;
+    ++unflushed_drops_;
+    return;
+  }
+  buffered_spans_.push_back(span);
+  peak_buffered_spans_ = std::max(peak_buffered_spans_, buffered_spans_.size());
+}
+
+void ShardStreamSink::FoldAggregates(const Span& span) {
+  ++spans_seen_;
   auto method_it = method_deltas_.find(span.method_id);
   if (method_it == method_deltas_.end()) {
     method_it =
@@ -541,14 +552,6 @@ void ShardStreamSink::OnSpan(const Span& span) {
     window_it->second.window_start = window_start;
   }
   window_it->second.AddSpan(span);
-
-  if (buffered_spans_.size() >= options_.max_buffered_spans) {
-    ++dropped_spans_;
-    ++unflushed_drops_;
-    return;
-  }
-  buffered_spans_.push_back(span);
-  peak_buffered_spans_ = std::max(peak_buffered_spans_, buffered_spans_.size());
 }
 
 void ShardStreamSink::FlushInto(ObservabilityHub& hub, SimTime watermark) {
@@ -576,15 +579,19 @@ void ShardStreamSink::FlushInto(ObservabilityHub& hub, SimTime watermark) {
   }
 }
 
-ObservabilityHub ReplayIntoHub(const std::vector<Span>& spans, ObservabilityOptions options) {
-  // Lift the cap: the reference path buffers everything once, then flushes.
-  options.max_buffered_spans = spans.size() + 1;
+ObservabilityHub ReplayIntoHub(const std::vector<Span>& spans,
+                               const ObservabilityOptions& options) {
+  // Deltas take the sink's path; exemplars go to the hub straight from
+  // `spans`, in the order a sink that buffered every span would flush them.
   ObservabilityHub hub(options);
   ShardStreamSink sink(options);
   for (const Span& span : spans) {
-    sink.OnSpan(span);
+    sink.FoldAggregates(span);
   }
   sink.FlushInto(hub, kMaxSimTime);
+  for (const Span& span : spans) {
+    hub.OnSpan(span);
+  }
   hub.AdvanceWatermark(kMaxSimTime);
   return hub;
 }

@@ -288,6 +288,8 @@ class ShardStreamSink : public TraceSink {
   // Folds the span into the per-method and per-window deltas (always), and
   // appends it to the bounded exemplar buffer (unless full: counted drop).
   void OnSpan(const Span& span) override;
+  // The aggregate half of OnSpan alone: deltas only, no exemplar candidate.
+  void FoldAggregates(const Span& span);
 
   // Moves all accumulated deltas and buffered spans into `hub` and resets
   // this sink to empty. Windows that ended at or before `watermark` are
@@ -320,15 +322,19 @@ class ShardStreamSink : public TraceSink {
   int64_t spans_seen_ = 0;
 };
 
-// Post-run reference aggregation: feeds every span through a fresh
-// sink + hub pair with one final flush. Tests compare its AggregateDigest
-// against the barrier-streamed hub's to prove the streamed pipeline lost
-// nothing (docs/OBSERVABILITY.md). The cap is lifted so exemplar candidates
-// are never dropped by buffering (reservoir policy still applies). Digests
-// are comparable as long as neither hub evicted windows (windows_evicted()
-// == 0) — retention eviction is deliberately lossy, so runs spanning more
-// than max_windows windows digest only the retained suffix.
-ObservabilityHub ReplayIntoHub(const std::vector<Span>& spans, ObservabilityOptions options);
+// Post-run reference aggregation into a fresh hub: folds every span into a
+// fresh sink's deltas and flushes them once, then feeds every span of
+// `spans`, in order, to the hub's exemplar path — the hub state a sink with
+// an unbounded buffer would produce, without copying the spans into one.
+// Tests compare its AggregateDigest against the barrier-streamed hub's to
+// prove the streamed pipeline lost nothing (docs/OBSERVABILITY.md). No
+// exemplar candidate is dropped by buffering (reservoir policy still
+// applies). Digests are comparable as long as neither hub evicted windows
+// (windows_evicted() == 0) — retention eviction is deliberately lossy, so
+// runs spanning more than max_windows windows digest only the retained
+// suffix.
+ObservabilityHub ReplayIntoHub(const std::vector<Span>& spans,
+                               const ObservabilityOptions& options);
 
 }  // namespace rpcscope
 

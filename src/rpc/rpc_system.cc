@@ -1,6 +1,8 @@
 #include "src/rpc/rpc_system.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <tuple>
 #include <utility>
 
 #include "src/checkpoint/checkpoint.h"
@@ -316,28 +318,42 @@ uint64_t RpcSystem::ShardedEventDigest() const {
 }
 
 std::vector<Span> RpcSystem::MergedSpans() const {
-  std::vector<Span> merged;
+  // Canonical order: virtual start time, then trace/span id as tiebreakers.
+  // Ids are fleet-unique (per-shard id_offset ranges), so the order is total
+  // and independent of shard interleaving or worker count. (shard, index)
+  // breaks any remaining tie the way a stable sort of the shard-major
+  // concatenation would. Sorting these keys instead of whole spans moves
+  // each span once, into an output sized up front.
+  struct Key {
+    SimTime start_time;
+    TraceId trace_id;
+    SpanId span_id;
+    uint32_t shard;
+    uint32_t index;
+  };
   size_t total = 0;
   for (const auto& shard : shards_) {
     total += shard->tracer.spans().size();
   }
-  merged.reserve(total);
-  for (const auto& shard : shards_) {
-    const std::vector<Span>& spans = shard->tracer.spans();
-    merged.insert(merged.end(), spans.begin(), spans.end());
+  std::vector<Key> keys;
+  keys.reserve(total);
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const std::vector<Span>& spans = shards_[s]->tracer.spans();
+    RPCSCOPE_CHECK_LT(spans.size(), size_t{UINT32_MAX});
+    for (size_t i = 0; i < spans.size(); ++i) {
+      keys.push_back({spans[i].start_time, spans[i].trace_id, spans[i].span_id,
+                      static_cast<uint32_t>(s), static_cast<uint32_t>(i)});
+    }
   }
-  // Canonical order: virtual start time, then trace/span id as tiebreakers.
-  // Ids are fleet-unique (per-shard id_offset ranges), so the order is total
-  // and independent of shard interleaving or worker count.
-  std::stable_sort(merged.begin(), merged.end(), [](const Span& a, const Span& b) {
-    if (a.start_time != b.start_time) {
-      return a.start_time < b.start_time;
-    }
-    if (a.trace_id != b.trace_id) {
-      return a.trace_id < b.trace_id;
-    }
-    return a.span_id < b.span_id;
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    return std::tie(a.start_time, a.trace_id, a.span_id, a.shard, a.index) <
+           std::tie(b.start_time, b.trace_id, b.span_id, b.shard, b.index);
   });
+  std::vector<Span> merged;
+  merged.reserve(total);
+  for (const Key& key : keys) {
+    merged.push_back(shards_[key.shard]->tracer.spans()[key.index]);
+  }
   return merged;
 }
 

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <system_error>
 
 #include "src/wire/varint.h"
 
@@ -13,6 +15,10 @@ constexpr char kMagic[4] = {'R', 'S', 'P', 'N'};
 // v2 appends the colocated-bypass fields (flag + avoided tax cycles) to each
 // record; v1 batches remain readable, decoding those fields as their defaults.
 constexpr uint64_t kVersion = 2;
+
+// Smallest encoded record: one byte for each of the 24 fields of a v1 record
+// (every varint and double takes at least one), plus v2's two.
+constexpr uint64_t MinRecordBytes(uint64_t version) { return version >= 2 ? 26 : 24; }
 
 void PutDouble(std::vector<uint8_t>& out, double value) {
   uint64_t bits;
@@ -73,6 +79,10 @@ Result<SpanReader> SpanReader::Open(const std::vector<uint8_t>& bytes) {
   }
   if (!GetVarint64(bytes, pos, count)) {
     return InternalError("truncated span count");
+  }
+  if (count > (bytes.size() - pos) / MinRecordBytes(version)) {
+    return InvalidArgumentError("span count " + std::to_string(count) + " does not fit in " +
+                                std::to_string(bytes.size() - pos) + " bytes");
   }
   return SpanReader(&bytes, pos, count, version);
 }
@@ -162,7 +172,7 @@ Result<std::vector<Span>> DeserializeSpans(const std::vector<uint8_t>& bytes) {
     return reader.status();
   }
   std::vector<Span> spans;
-  spans.reserve(reader.value().count());
+  spans.reserve(reader.value().count());  // Bounded by the batch size (see Open).
   Span span;
   for (;;) {
     Result<bool> more = reader.value().Next(span);
@@ -251,21 +261,39 @@ Status TraceStore::SaveToFile(const std::string& path) const {
   return Status::Ok();
 }
 
-Result<TraceStore> TraceStore::LoadFromFile(const std::string& path) {
+Result<std::vector<uint8_t>> ReadSpanFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     return NotFoundError("cannot open " + path);
   }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) {
+    std::fclose(f);
+    return InvalidArgumentError(path + " is not a regular file");
+  }
+  long size = -1;
+  if (std::fseek(f, 0, SEEK_END) == 0) {
+    size = std::ftell(f);
+  }
+  if (size < 0 || std::fseek(f, 0, SEEK_SET) != 0) {
+    std::fclose(f);
+    return InternalError("cannot size " + path);
+  }
   std::vector<uint8_t> bytes(static_cast<size_t>(size));
   const size_t read = std::fread(bytes.data(), 1, bytes.size(), f);
   std::fclose(f);
   if (read != bytes.size()) {
     return InternalError("short read from " + path);
   }
-  Result<std::vector<Span>> spans = DeserializeSpans(bytes);
+  return bytes;
+}
+
+Result<TraceStore> TraceStore::LoadFromFile(const std::string& path) {
+  Result<std::vector<uint8_t>> bytes = ReadSpanFile(path);
+  if (!bytes.ok()) {
+    return bytes.status();
+  }
+  Result<std::vector<Span>> spans = DeserializeSpans(bytes.value());
   if (!spans.ok()) {
     return spans.status();
   }

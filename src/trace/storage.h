@@ -25,6 +25,11 @@ namespace rpcscope {
 std::vector<uint8_t> SerializeSpans(const std::vector<Span>& spans);
 [[nodiscard]] Result<std::vector<Span>> DeserializeSpans(const std::vector<uint8_t>& bytes);
 
+// Reads a whole span file into memory: NotFound when it cannot be opened,
+// InvalidArgument when the path is not a regular file (a directory, a pipe),
+// Internal when its size cannot be read or the read comes up short.
+[[nodiscard]] Result<std::vector<uint8_t>> ReadSpanFile(const std::string& path);
+
 // Incremental decoder over a serialized span batch: yields one span at a
 // time, so streaming consumers (rpcscope_analyze --analysis=stream, the
 // ObservabilityHub replay path) aggregate a batch of any size with O(1) span
@@ -32,7 +37,10 @@ std::vector<uint8_t> SerializeSpans(const std::vector<Span>& spans);
 // reader run to exhaustion.
 class SpanReader {
  public:
-  // Validates magic and version; the buffer must outlive the reader.
+  // Validates magic and version, and that the declared count fits in the
+  // bytes that follow (every record takes at least one byte per field), so a
+  // corrupt count is rejected here rather than trusted by a reserve. The
+  // buffer must outlive the reader.
   [[nodiscard]] static Result<SpanReader> Open(const std::vector<uint8_t>& bytes);
 
   // Spans declared by the batch header / not yet read.

@@ -8,7 +8,6 @@
 #define RPCSCOPE_SRC_TRACE_TREE_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/trace/span.h"
@@ -28,13 +27,29 @@ struct TraceShape {
   int64_t max_width = 0;     // Largest number of spans at a single depth.
 };
 
+// Edge-case rules:
+//  * A span is a root when its parent_span_id is 0, names no span in the
+//    collection (an orphan: Dapper shows the same artifact with partial
+//    traces), or resolves to the span itself (a self-parent).
+//  * When several spans share a span id, a parent id resolves to the first
+//    of them in input order; the later ones are still spans of their own.
+//  * A tree belongs to its root's trace id. Trees whose roots share a trace
+//    id (say, several orphans of one trace) fold into one TraceShape: spans
+//    summed, max_depth and max_width the maximum over those trees.
+//  * A span that no root reaches sits on a parent-link cycle (a -> b -> a);
+//    construction CHECK-fails rather than silently dropping it.
+//
+// Cost: O(n) for n spans (an open-addressed id index, children in one flat
+// array, one iterative DFS with a width-per-depth array reused across
+// trees), plus O(r log r) to order the r per-root records by trace id.
+// Inputs are limited to fewer than 2^32 - 1 spans (CHECK-enforced).
 class TraceForest {
  public:
-  // Builds the forest. Spans whose parent is missing from the collection are
-  // treated as roots (Dapper shows the same artifact with partial traces).
   explicit TraceForest(const std::vector<Span>& spans);
 
+  // Indexed like the input: span_shapes()[i].span_index == i.
   const std::vector<SpanShape>& span_shapes() const { return span_shapes_; }
+  // One entry per distinct root trace id, ascending by trace id.
   const std::vector<TraceShape>& trace_shapes() const { return trace_shapes_; }
 
  private:

@@ -218,6 +218,38 @@ TEST(StreamWindowTest, CrossShardDeltaMergeMatchesPostRunReplay) {
   EXPECT_EQ(stream_with_barriers(1, Seconds(999)), replayed);
 }
 
+// ReplayIntoHub feeds exemplars straight from its input; the hub must end up
+// exactly as a sink buffering every span and flushing once would leave it.
+TEST(StreamWindowTest, ReplayMatchesAnUncappedSinkFlush) {
+  ObservabilityOptions options;
+  options.window = Seconds(10);
+  options.reservoir_per_method = 3;
+  std::vector<Span> spans;
+  for (int i = 0; i < 2000; ++i) {
+    Span span = MakeSpan(Seconds((i * 7919) % 600), Micros(10 + (i % 97)),
+                         /*method=*/i % 7, /*id=*/static_cast<uint64_t>(i) + 1);
+    span.status = i % 13 == 0 ? StatusCode::kUnavailable : StatusCode::kOk;
+    spans.push_back(span);
+  }
+  options.max_buffered_spans = spans.size();
+  ObservabilityHub expected(options);
+  ShardStreamSink sink(options);
+  for (const Span& span : spans) {
+    sink.OnSpan(span);
+  }
+  sink.FlushInto(expected, kMaxSimTime);
+  expected.AdvanceWatermark(kMaxSimTime);
+
+  const ObservabilityHub replayed = ReplayIntoHub(spans, options);
+  EXPECT_EQ(replayed.AggregateDigest(), expected.AggregateDigest());
+  EXPECT_EQ(replayed.ExemplarDigest(), expected.ExemplarDigest());
+  EXPECT_EQ(replayed.spans_ingested(), expected.spans_ingested());
+  EXPECT_EQ(replayed.exemplars_ingested(), expected.exemplars_ingested());
+  EXPECT_EQ(replayed.reservoir_drops(), expected.reservoir_drops());
+  EXPECT_EQ(replayed.span_buffer_drops(), 0u);
+  EXPECT_EQ(replayed.windows_closed(), expected.windows_closed());
+}
+
 TEST(StreamWindowTest, ReservoirIsBoundedDeterministicAndDropCounted) {
   ObservabilityOptions options;
   options.reservoir_per_method = 4;

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <unordered_set>
 
 #include "src/rpc/client.h"
 #include "src/rpc/server.h"
+#include "src/trace/storage.h"
 
 namespace rpcscope {
 namespace {
@@ -117,6 +119,51 @@ TEST(RpcSystemTest, SpanObserverSeesEverySpan) {
   system.sim().Run();
   EXPECT_EQ(observed, 25);
   EXPECT_GT(total, 0);
+}
+
+// MergedSpans sorts keys and gathers; its order must be byte-identical to a
+// std::stable_sort of the shard-major concatenation by (start, trace, span),
+// including where those keys tie within and across shards.
+TEST(RpcSystemTest, MergedSpansMatchesStableSortOrder) {
+  RpcSystemOptions opts;
+  opts.num_shards = 4;
+  opts.observability.streaming = false;
+  RpcSystem system(opts);
+  ASSERT_EQ(system.num_shards(), 4);
+  Rng rng(5);
+  for (int s = 0; s < system.num_shards(); ++s) {
+    for (int i = 0; i < 700; ++i) {
+      Span span;
+      // Few distinct start times and ids: many spans share a start time, and
+      // many share the whole (start, trace, span) key, in one shard and
+      // across shards. method_id tells the tied spans apart.
+      span.start_time = static_cast<SimTime>(rng.NextBounded(8));
+      span.trace_id = 1 + rng.NextBounded(3);
+      span.span_id = 1 + rng.NextBounded(3);
+      span.method_id = s * 1000 + i;
+      ASSERT_TRUE(system.shard(s).tracer.Record(span));
+    }
+  }
+  std::vector<Span> reference;
+  for (int s = 0; s < system.num_shards(); ++s) {
+    const std::vector<Span>& spans = system.shard(s).tracer.spans();
+    reference.insert(reference.end(), spans.begin(), spans.end());
+  }
+  std::stable_sort(reference.begin(), reference.end(), [](const Span& a, const Span& b) {
+    if (a.start_time != b.start_time) {
+      return a.start_time < b.start_time;
+    }
+    if (a.trace_id != b.trace_id) {
+      return a.trace_id < b.trace_id;
+    }
+    return a.span_id < b.span_id;
+  });
+  const std::vector<Span> merged = system.MergedSpans();
+  ASSERT_EQ(merged.size(), reference.size());
+  for (size_t i = 0; i < merged.size(); ++i) {
+    ASSERT_EQ(merged[i].method_id, reference[i].method_id) << i;
+  }
+  EXPECT_EQ(SerializeSpans(merged), SerializeSpans(reference));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
 #include "src/common/rng.h"
 
@@ -79,6 +80,41 @@ TEST(SpanCodecTest, RejectsTruncation) {
   std::vector<uint8_t> bytes = SerializeSpans(spans);
   bytes.resize(bytes.size() - 3);
   EXPECT_FALSE(DeserializeSpans(bytes).ok());
+}
+
+// A header declaring more spans than its bytes can hold is rejected before
+// anything is reserved: a 10-byte file declaring 2^32 - 1 spans used to
+// abort in DeserializeSpans with std::bad_alloc, and 2^63 with length_error.
+TEST(SpanCodecTest, RejectsCountsTheBytesCannotHold) {
+  const std::vector<uint8_t> huge = {'R', 'S', 'P', 'N', 2, 0xff, 0xff, 0xff, 0xff, 0x0f};
+  EXPECT_EQ(SpanReader::Open(huge).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(DeserializeSpans(huge).status().code(), StatusCode::kInvalidArgument);
+  std::vector<uint8_t> max = {'R', 'S', 'P', 'N', 2};
+  for (int i = 0; i < 9; ++i) {
+    max.push_back(0x80);
+  }
+  max.push_back(0x01);  // Varint 2^63.
+  EXPECT_EQ(DeserializeSpans(max).status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SpanCodecTest, CountBoundIsTheSmallestRecord) {
+  // Default spans encode every field in one byte: 26-byte v2 records.
+  const std::vector<uint8_t> bytes = SerializeSpans(std::vector<Span>(3));
+  ASSERT_EQ(bytes.size(), 6u + 3 * 26);
+  Result<std::vector<Span>> back = DeserializeSpans(bytes);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->size(), 3u);
+  std::vector<uint8_t> one_more = bytes;
+  one_more[5] = 4;  // The count byte: 4 records cannot fit in 78 bytes.
+  EXPECT_EQ(DeserializeSpans(one_more).status().code(), StatusCode::kInvalidArgument);
+  // A count that fits but a record cut short is still a truncation error.
+  std::vector<uint8_t> cut = bytes;
+  cut[6] = 0xff;  // First trace id becomes a multi-byte varint.
+  for (int i = 0; i < 8; ++i) {
+    cut.insert(cut.begin() + 7, 0xff);
+  }
+  cut.resize(bytes.size());
+  EXPECT_EQ(DeserializeSpans(cut).status().code(), StatusCode::kInternal);
 }
 
 TEST(SpanReaderTest, StreamsTheBatchOneSpanAtATime) {
@@ -182,6 +218,26 @@ TEST(TraceStoreTest, FileRoundTrip) {
 TEST(TraceStoreTest, LoadMissingFileFails) {
   EXPECT_EQ(TraceStore::LoadFromFile("/nonexistent/spans.bin").status().code(),
             StatusCode::kNotFound);
+}
+
+TEST(TraceStoreTest, LoadRejectsADirectory) {
+  // ftell on a directory stream is meaningless; it used to size a huge read.
+  const std::string dir = ::testing::TempDir() + "/spans_dir";
+  std::filesystem::create_directories(dir);
+  EXPECT_EQ(TraceStore::LoadFromFile(dir).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ReadSpanFile(dir).status().code(), StatusCode::kInvalidArgument);
+  std::filesystem::remove(dir);
+}
+
+TEST(TraceStoreTest, LoadRejectsAHugeCountFile) {
+  const std::string path = ::testing::TempDir() + "/huge_count.bin";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const uint8_t header[] = {'R', 'S', 'P', 'N', 2, 0xff, 0xff, 0xff, 0xff, 0x0f};
+  ASSERT_EQ(std::fwrite(header, 1, sizeof(header), f), sizeof(header));
+  std::fclose(f);
+  EXPECT_EQ(TraceStore::LoadFromFile(path).status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
 }
 
 }  // namespace

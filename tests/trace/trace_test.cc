@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "src/common/check.h"
+#include "src/common/rng.h"
 #include "src/trace/collector.h"
 #include "src/trace/span.h"
 #include "src/trace/tree.h"
@@ -240,6 +245,239 @@ TEST(TraceForestTest, EmptyInput) {
   TraceForest forest({});
   EXPECT_TRUE(forest.span_shapes().empty());
   EXPECT_TRUE(forest.trace_shapes().empty());
+}
+
+// The per-span-vector, hash-map implementation TraceForest had before it
+// moved to flat arrays, kept verbatim (modulo names) as a test oracle.
+struct ReferenceForest {
+  std::vector<SpanShape> span_shapes;
+  std::vector<TraceShape> trace_shapes;
+
+  explicit ReferenceForest(const std::vector<Span>& spans) {
+    std::unordered_map<SpanId, size_t> by_span_id;
+    by_span_id.reserve(spans.size());
+    for (size_t i = 0; i < spans.size(); ++i) {
+      by_span_id.emplace(spans[i].span_id, i);
+    }
+    std::vector<std::vector<size_t>> children(spans.size());
+    std::vector<size_t> roots;
+    for (size_t i = 0; i < spans.size(); ++i) {
+      const Span& s = spans[i];
+      if (s.parent_span_id == 0) {
+        roots.push_back(i);
+        continue;
+      }
+      auto it = by_span_id.find(s.parent_span_id);
+      if (it == by_span_id.end() || it->second == i) {
+        roots.push_back(i);
+      } else {
+        children[it->second].push_back(i);
+      }
+    }
+    span_shapes.resize(spans.size());
+    std::vector<bool> visited(spans.size(), false);
+    std::map<TraceId, TraceShape> traces;
+    std::vector<std::pair<size_t, int64_t>> stack;
+    std::vector<size_t> order;
+    for (size_t root : roots) {
+      stack.clear();
+      order.clear();
+      stack.push_back({root, 0});
+      int64_t max_depth = 0;
+      std::unordered_map<int64_t, int64_t> width_at_depth;
+      while (!stack.empty()) {
+        auto [idx, depth] = stack.back();
+        stack.pop_back();
+        order.push_back(idx);
+        visited[idx] = true;
+        span_shapes[idx].span_index = idx;
+        span_shapes[idx].ancestors = depth;
+        max_depth = std::max(max_depth, depth);
+        ++width_at_depth[depth];
+        for (size_t child : children[idx]) {
+          stack.push_back({child, depth + 1});
+        }
+      }
+      for (auto it = order.rbegin(); it != order.rend(); ++it) {
+        int64_t desc = 0;
+        for (size_t child : children[*it]) {
+          desc += 1 + span_shapes[child].descendants;
+        }
+        span_shapes[*it].descendants = desc;
+      }
+      TraceShape& shape = traces[spans[root].trace_id];
+      shape.trace_id = spans[root].trace_id;
+      shape.total_spans += static_cast<int64_t>(order.size());
+      shape.max_depth = std::max(shape.max_depth, max_depth);
+      for (const auto& [depth, width] : width_at_depth) {
+        shape.max_width = std::max(shape.max_width, width);
+      }
+    }
+    for (size_t i = 0; i < spans.size(); ++i) {
+      RPCSCOPE_CHECK(visited[i]) << "reference forest: parent-link cycle";
+    }
+    for (auto& [id, shape] : traces) {
+      trace_shapes.push_back(shape);
+    }
+  }
+};
+
+void ExpectSameShapes(const std::vector<Span>& spans) {
+  const TraceForest forest(spans);
+  const ReferenceForest reference(spans);
+  ASSERT_EQ(forest.span_shapes().size(), reference.span_shapes.size());
+  for (size_t i = 0; i < spans.size(); ++i) {
+    const SpanShape& got = forest.span_shapes()[i];
+    const SpanShape& want = reference.span_shapes[i];
+    ASSERT_EQ(got.span_index, want.span_index) << i;
+    ASSERT_EQ(got.descendants, want.descendants) << i;
+    ASSERT_EQ(got.ancestors, want.ancestors) << i;
+  }
+  ASSERT_EQ(forest.trace_shapes().size(), reference.trace_shapes.size());
+  for (size_t i = 0; i < reference.trace_shapes.size(); ++i) {
+    const TraceShape& got = forest.trace_shapes()[i];
+    const TraceShape& want = reference.trace_shapes[i];
+    ASSERT_EQ(got.trace_id, want.trace_id) << i;
+    ASSERT_EQ(got.total_spans, want.total_spans) << i;
+    ASSERT_EQ(got.max_depth, want.max_depth) << i;
+    ASSERT_EQ(got.max_width, want.max_width) << i;
+  }
+}
+
+// Clears the parent link of one span on every parent-link cycle (parents
+// resolve to the first span holding the id, as in TraceForest), so a
+// shuffled forest stays a forest.
+void BreakCycles(std::vector<Span>& spans) {
+  std::unordered_map<SpanId, size_t> first;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    first.emplace(spans[i].span_id, i);
+  }
+  // 0 = unseen, 1 = on the current walk, 2 = known to reach a root.
+  std::vector<int> state(spans.size(), 0);
+  std::vector<size_t> walk;
+  for (size_t start = 0; start < spans.size(); ++start) {
+    size_t at = start;
+    walk.clear();
+    while (state[at] == 0) {
+      state[at] = 1;
+      walk.push_back(at);
+      const auto it = first.find(spans[at].parent_span_id);
+      if (spans[at].parent_span_id == 0 || it == first.end() || it->second == at) {
+        break;
+      }
+      if (state[it->second] == 1) {
+        spans[at].parent_span_id = 0;  // Closes a cycle: make it a root.
+        break;
+      }
+      at = it->second;
+    }
+    for (size_t idx : walk) {
+      state[idx] = 2;
+    }
+  }
+}
+
+// Random forests with every edge case TraceForest defines: orphans whose
+// parent id is absent, self-parents, duplicate span ids, children whose
+// trace id differs from their root's, and many roots sharing a trace id.
+std::vector<Span> RandomForest(Rng& rng, size_t n) {
+  std::vector<Span> spans;
+  spans.reserve(n);
+  const uint64_t num_traces = 1 + n / 16;
+  for (size_t i = 0; i < n; ++i) {
+    Span s;
+    s.span_id = (i > 0 && rng.NextBool(0.05)) ? spans[rng.NextBounded(i)].span_id
+                                              : 1 + rng.NextBounded(uint64_t{1} << 40);
+    s.trace_id = 1 + rng.NextBounded(num_traces);
+    const double kind = rng.NextDouble();
+    if (i > 0 && kind < 0.75) {
+      const Span& parent = spans[rng.NextBounded(i)];
+      s.parent_span_id = parent.span_id;
+      if (rng.NextBool(0.9)) {
+        s.trace_id = parent.trace_id;
+      }
+    } else if (kind < 0.85) {
+      s.parent_span_id = (uint64_t{1} << 50) + rng.NextBounded(1000);  // Orphan.
+    } else if (kind < 0.9) {
+      s.parent_span_id = s.span_id;  // Self-parent.
+    }
+    spans.push_back(s);
+  }
+  // Shuffle so parents land on either side of their children.
+  for (size_t i = n; i > 1; --i) {
+    std::swap(spans[i - 1], spans[rng.NextBounded(i)]);
+  }
+  BreakCycles(spans);
+  return spans;
+}
+
+TEST(TraceForestTest, MatchesReferenceOnRandomForests) {
+  Rng rng(20231023);
+  const size_t sizes[] = {1, 2, 3, 7, 64, 500, 4096, 30000};
+  for (size_t n : sizes) {
+    for (int trial = 0; trial < 4; ++trial) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " trial=" << trial);
+      ExpectSameShapes(RandomForest(rng, n));
+    }
+  }
+}
+
+TEST(TraceForestTest, MatchesReferenceOnEdgeCases) {
+  auto make = [](TraceId trace, SpanId id, SpanId parent) {
+    Span s;
+    s.trace_id = trace;
+    s.span_id = id;
+    s.parent_span_id = parent;
+    return s;
+  };
+  // Self-parent, duplicate ids (the second 5 is a child of the first), and
+  // three orphan roots of trace 9 with trees of different shapes.
+  const std::vector<Span> spans = {
+      make(1, 5, 5),    make(1, 5, 5),     make(1, 6, 5),  make(9, 20, 77),
+      make(9, 21, 20),  make(9, 22, 20),   make(9, 30, 78), make(9, 31, 30),
+      make(9, 32, 31),  make(9, 40, 79),   make(3, 0, 0),   make(3, 0, 0),
+  };
+  ExpectSameShapes(spans);
+  const TraceForest forest(spans);
+  ASSERT_EQ(forest.trace_shapes().size(), 3u);
+  const TraceShape& t9 = forest.trace_shapes()[2];
+  EXPECT_EQ(t9.trace_id, 9u);
+  EXPECT_EQ(t9.total_spans, 7);
+  EXPECT_EQ(t9.max_depth, 2);  // 30 -> 31 -> 32.
+  EXPECT_EQ(t9.max_width, 2);  // 21 and 22 under 20.
+  EXPECT_EQ(forest.span_shapes()[0].descendants, 2);  // Second 5 and 6.
+  EXPECT_EQ(forest.span_shapes()[1].ancestors, 1);
+}
+
+TEST(TraceForestTest, HundredThousandDeepChain) {
+  // Recorded leaf-first, as a tracer records nested calls by completion.
+  const size_t depth = 100000;
+  std::vector<Span> spans(depth);
+  for (size_t i = 0; i < depth; ++i) {
+    Span& s = spans[depth - 1 - i];
+    s.trace_id = 7;
+    s.span_id = i + 1;
+    s.parent_span_id = i;  // The root (span 1) has parent 0.
+  }
+  ExpectSameShapes(spans);
+  const TraceForest forest(spans);
+  EXPECT_EQ(forest.span_shapes()[depth - 1].descendants, static_cast<int64_t>(depth - 1));
+  EXPECT_EQ(forest.span_shapes()[0].ancestors, static_cast<int64_t>(depth - 1));
+  ASSERT_EQ(forest.trace_shapes().size(), 1u);
+  EXPECT_EQ(forest.trace_shapes()[0].max_width, 1);
+}
+
+TEST(TraceForestDeathTest, TwoCycleFailsTheAcyclicityCheck) {
+  auto make = [](SpanId id, SpanId parent) {
+    Span s;
+    s.trace_id = 1;
+    s.span_id = id;
+    s.parent_span_id = parent;
+    return s;
+  };
+  // A healthy root next to a -> b -> a.
+  const std::vector<Span> spans = {make(1, 0), make(2, 3), make(3, 2)};
+  EXPECT_DEATH({ TraceForest forest(spans); }, "span index 1 .*parent-link cycle");
 }
 
 }  // namespace

@@ -55,23 +55,6 @@ int ListProfiles() {
   return 0;
 }
 
-Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return NotFoundError("cannot open " + path);
-  }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  const size_t read = std::fread(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (read != bytes.size()) {
-    return InternalError("short read from " + path);
-  }
-  return bytes;
-}
-
 // Streams every file through a sink -> hub pair, flushing periodically so
 // resident state stays bounded: per-method running quantiles + window
 // summaries at the hub, at most a few thousand raw spans in flight. Offline
@@ -86,7 +69,7 @@ int RunStreamAnalysis(const std::vector<std::string>& files, bool csv,
   SimTime watermark = kMinSimTime;
   int64_t since_flush = 0;
   for (const std::string& file : files) {
-    Result<std::vector<uint8_t>> bytes = ReadFileBytes(file);
+    Result<std::vector<uint8_t>> bytes = ReadSpanFile(file);
     if (!bytes.ok()) {
       std::fprintf(stderr, "cannot read %s: %s\n", file.c_str(),
                    bytes.status().ToString().c_str());
