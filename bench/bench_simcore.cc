@@ -1,12 +1,9 @@
 // DES-core benchmarks: the numbers behind BENCH_simcore.json (docs/PERF.md).
 //
-// Three tiers of the same churn workload isolate the hot-path overhaul:
-//   Legacy  — replica of the seed core: std::function callbacks in a
-//             std::priority_queue binary heap (the pre-overhaul baseline,
-//             kept here because the production Simulator no longer has it).
-//   Heap    — SimCallback (inline/pooled captures) on BinaryHeapEventQueue.
-//   Ladder  — SimCallback on the ladder/calendar queue (production default).
-// Plus the mini-fleet end-to-end events/sec on both queue kinds, the sharded
+// One row per workload shape on the production Simulator: the churn workload
+// at three pending-event depths, a deep-backlog drain and the mini-fleet
+// end-to-end events/sec (docs/PERF.md#event-queue-design records the earlier
+// Legacy / binary-heap / ladder rows these replaced). Plus the sharded
 // executor rows (mini-fleet, burst rounds of a known size, pool dispatch
 // cost), frame encode with reused WireScratch vs per-call allocation, frame
 // decode, CRC32C, and the post-run span pipeline (merge, forest, replay).
@@ -17,7 +14,6 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -35,88 +31,17 @@ namespace rpcscope {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Legacy core replica: what Simulator was immediately before the hot-path
-// overhaul — std::function callbacks in a std::priority_queue binary heap,
-// with the same digest fold and ordering checks the production core keeps
-// (those predate the overhaul, so the replica pays them too; anything less
-// would overstate the speedup).
-
-class LegacySimulator {
- public:
-  void Schedule(SimDuration delay, std::function<void()> fn) {
-    queue_.push(LegacyEvent{now_ + delay, next_seq_++, std::move(fn)});
-  }
-
-  uint64_t Run() {
-    uint64_t executed = 0;
-    while (!queue_.empty()) {
-      LegacyEvent ev = std::move(const_cast<LegacyEvent&>(queue_.top()));
-      queue_.pop();
-      RPCSCOPE_CHECK_GE(ev.time, now_) << "virtual clock would move backwards";
-      if (any_executed_) {
-        RPCSCOPE_CHECK(ev.time > last_time_ || (ev.time == last_time_ && ev.seq > last_seq_))
-            << "event out of order";
-      }
-      last_time_ = ev.time;
-      last_seq_ = ev.seq;
-      any_executed_ = true;
-      event_digest_ = FnvMix(FnvMix(event_digest_, static_cast<uint64_t>(ev.time)), ev.seq);
-      now_ = ev.time;
-      ev.fn();
-      ++executed;
-    }
-    return executed;
-  }
-
-  uint64_t event_digest() const { return event_digest_; }
-
- private:
-  struct LegacyEvent {
-    SimTime time;
-    uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct ExecutesAfter {
-    bool operator()(const LegacyEvent& a, const LegacyEvent& b) const {
-      if (a.time != b.time) {
-        return a.time > b.time;
-      }
-      return a.seq > b.seq;
-    }
-  };
-
-  static uint64_t FnvMix(uint64_t digest, uint64_t word) {
-    constexpr uint64_t kPrime = 1099511628211ull;
-    for (int i = 0; i < 8; ++i) {
-      digest ^= (word >> (8 * i)) & 0xff;
-      digest *= kPrime;
-    }
-    return digest;
-  }
-
-  std::priority_queue<LegacyEvent, std::vector<LegacyEvent>, ExecutesAfter> queue_;
-  SimTime now_ = 0;
-  uint64_t next_seq_ = 0;
-  uint64_t event_digest_ = 14695981039346656037ull;
-  SimTime last_time_ = 0;
-  uint64_t last_seq_ = 0;
-  bool any_executed_ = false;
-};
-
-// ---------------------------------------------------------------------------
 // Churn workload: parallel self-rescheduling chains with mixed horizons —
 // mostly microsecond-scale steps (the RPC-stack regime), periodic
-// millisecond timers, and rare multi-second jumps that exercise the ladder's
-// overflow tier. Identical schedule for every simulator under test. The chain
-// count (benchmark arg) is the pending-event depth: 16 is a toy single-server
-// workload, 1024/8192 match the in-flight event populations a loaded
-// mini-fleet sustains, where heap sift depth is what the ladder eliminates.
+// millisecond timers, and rare multi-second jumps. The chain count (benchmark
+// arg) is the pending-event depth: 16 is the mini-fleet's regime (its peak
+// depth is 33), 1024/8192 are uniformly churning synthetic backlogs deeper
+// than any shipped binary sustains, where heap sift depth costs the most.
 
 constexpr uint64_t kChurnEvents = 1 << 17;  // Total events per run, all depths.
 
-template <typename SimT>
 struct Chain {
-  SimT* sim = nullptr;
+  Simulator* sim = nullptr;
   uint64_t remaining = 0;
   uint64_t tick = 0;
   int id = 0;
@@ -124,10 +49,10 @@ struct Chain {
   SimDuration NextDelay() {
     ++tick;
     if (tick % 1024 == 0) {
-      return Seconds(2);  // Far-future: overflow tier.
+      return Seconds(2);  // Far future.
     }
     if (tick % 64 == 0) {
-      return Millis(5);  // Timer-scale: window edge.
+      return Millis(5);  // Timer-scale.
     }
     return Micros(
         static_cast<int64_t>(1 + ((tick + static_cast<uint64_t>(id)) % 13)));
@@ -142,9 +67,8 @@ struct Chain {
   }
 };
 
-template <typename SimT>
-uint64_t RunChurn(SimT& sim, int chain_count) {
-  std::vector<Chain<SimT>> chains(static_cast<size_t>(chain_count));
+uint64_t RunChurn(Simulator& sim, int chain_count) {
+  std::vector<Chain> chains(static_cast<size_t>(chain_count));
   for (int i = 0; i < chain_count; ++i) {
     chains[static_cast<size_t>(i)].sim = &sim;
     chains[static_cast<size_t>(i)].id = i;
@@ -155,45 +79,23 @@ uint64_t RunChurn(SimT& sim, int chain_count) {
   return sim.Run();
 }
 
-void BM_SimChurn_Legacy(benchmark::State& state) {
+void BM_SimChurn(benchmark::State& state) {
   uint64_t events = 0;
   for (auto _ : state) {
-    LegacySimulator sim;
+    Simulator sim;
     events += RunChurn(sim, static_cast<int>(state.range(0)));
   }
   state.SetItemsProcessed(static_cast<int64_t>(events));
 }
-BENCHMARK(BM_SimChurn_Legacy)->Arg(16)->Arg(1024)->Arg(8192);
-
-void BM_SimChurn_Heap(benchmark::State& state) {
-  uint64_t events = 0;
-  for (auto _ : state) {
-    Simulator sim(SimQueueKind::kBinaryHeap);
-    events += RunChurn(sim, static_cast<int>(state.range(0)));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(events));
-}
-BENCHMARK(BM_SimChurn_Heap)->Arg(16)->Arg(1024)->Arg(8192);
-
-void BM_SimChurn_Ladder(benchmark::State& state) {
-  uint64_t events = 0;
-  for (auto _ : state) {
-    Simulator sim(SimQueueKind::kLadder);
-    events += RunChurn(sim, static_cast<int>(state.range(0)));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(events));
-}
-BENCHMARK(BM_SimChurn_Ladder)->Arg(16)->Arg(1024)->Arg(8192);
+BENCHMARK(BM_SimChurn)->Arg(16)->Arg(1024)->Arg(8192);
 
 // ---------------------------------------------------------------------------
-// Deep-backlog regime: all events scheduled up front, then drained. This is
-// where the binary heap's O(log n) per op hurts most and the ladder's
-// bucketing pays off.
+// Deep-backlog regime: all events scheduled up front, then drained, so every
+// pop sifts through a 100k-deep heap.
 
 constexpr int kBacklog = 100000;
 
-template <typename SimT>
-void RunBacklog(SimT& sim) {
+void RunBacklog(Simulator& sim) {
   uint64_t tick = 0;
   for (int i = 0; i < kBacklog; ++i) {
     tick += 1 + (tick % 7);
@@ -203,43 +105,24 @@ void RunBacklog(SimT& sim) {
   sim.Run();
 }
 
-void BM_SimBacklog_Legacy(benchmark::State& state) {
+void BM_SimBacklog(benchmark::State& state) {
   for (auto _ : state) {
-    LegacySimulator sim;
+    Simulator sim;
     RunBacklog(sim);
   }
   state.SetItemsProcessed(state.iterations() * kBacklog);
 }
-BENCHMARK(BM_SimBacklog_Legacy);
-
-void BM_SimBacklog_Heap(benchmark::State& state) {
-  for (auto _ : state) {
-    Simulator sim(SimQueueKind::kBinaryHeap);
-    RunBacklog(sim);
-  }
-  state.SetItemsProcessed(state.iterations() * kBacklog);
-}
-BENCHMARK(BM_SimBacklog_Heap);
-
-void BM_SimBacklog_Ladder(benchmark::State& state) {
-  for (auto _ : state) {
-    Simulator sim(SimQueueKind::kLadder);
-    RunBacklog(sim);
-  }
-  state.SetItemsProcessed(state.iterations() * kBacklog);
-}
-BENCHMARK(BM_SimBacklog_Ladder);
+BENCHMARK(BM_SimBacklog);
 
 // ---------------------------------------------------------------------------
-// End-to-end: mini-fleet virtual-events-per-host-second on both queue kinds.
+// End-to-end: mini-fleet virtual-events-per-host-second.
 
-void RunMiniFleetBench(benchmark::State& state, SimQueueKind kind) {
+void BM_MiniFleet(benchmark::State& state) {
   const ServiceCatalog catalog = ServiceCatalog::BuildDefault();
   MiniFleetOptions options;
   options.duration = Millis(500);
   options.warmup = Millis(100);
   options.frontend_rps = 400;
-  options.sim_queue = kind;
   uint64_t events = 0;
   for (auto _ : state) {
     const MiniFleetResult result = RunMiniFleet(catalog, options);
@@ -248,21 +131,12 @@ void RunMiniFleetBench(benchmark::State& state, SimQueueKind kind) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(events));
 }
-
-void BM_MiniFleet_Heap(benchmark::State& state) {
-  RunMiniFleetBench(state, SimQueueKind::kBinaryHeap);
-}
-BENCHMARK(BM_MiniFleet_Heap);
-
-void BM_MiniFleet_Ladder(benchmark::State& state) {
-  RunMiniFleetBench(state, SimQueueKind::kLadder);
-}
-BENCHMARK(BM_MiniFleet_Ladder);
+BENCHMARK(BM_MiniFleet);
 
 // ---------------------------------------------------------------------------
 // Shard-domain execution (docs/PARALLEL.md): the mini-fleet spread across
 // shard domains, swept over worker-thread counts. shards:1/workers:1 is the
-// legacy single-domain path and must stay within noise of BM_MiniFleet_Ladder;
+// legacy single-domain path and must stay within noise of BM_MiniFleet;
 // the multi-worker rows measure conservative-PDES scaling (they only beat the
 // 1-worker row when the host actually has spare cores — see the committed
 // BENCH_parallel.json context.num_cpus for the machine the baseline ran on).

@@ -153,7 +153,6 @@ namespace {
 RpcSystemOptions MakeSystemOptions(const MiniFleetOptions& options) {
   RpcSystemOptions sys_opts;
   sys_opts.seed = options.seed;
-  sys_opts.sim_queue = options.sim_queue;
   sys_opts.num_shards = options.num_shards;
   sys_opts.fabric.congestion_probability = 0.01;
   sys_opts.observability = options.observability;
@@ -517,7 +516,9 @@ uint64_t MiniFleet::ConfigHash(SimDuration checkpoint_every) const {
   fold(static_cast<uint64_t>(options_.duration));
   fold(static_cast<uint64_t>(options_.warmup));
   fold(DoubleBits(options_.frontend_rps));
-  fold(static_cast<uint64_t>(options_.sim_queue));
+  // Where the event-queue kind was folded; stays 0 so checkpoint stores
+  // written before the queue kinds were merged still resume.
+  fold(0);
   fold(static_cast<uint64_t>(options_.num_shards));
   const ObservabilityOptions& obs = options_.observability;
   fold(obs.streaming ? 1 : 0);

@@ -42,9 +42,6 @@ struct MiniFleetOptions {
   // Root request rate driven into each frontend entry point.
   double frontend_rps = 600;
   uint64_t seed = 0xf1ee7;
-  // Simulator event-queue implementation. The cross-queue determinism test
-  // runs the same fleet under both kinds and requires identical results.
-  SimQueueKind sim_queue = SimQueueKind::kLadder;
   // Shard-domain execution (docs/PARALLEL.md). With num_shards == 1 (the
   // default) placement and results are exactly the legacy single-domain
   // fleet. With more shards, each service gets its own cluster (and the

@@ -53,7 +53,7 @@ RpcSystem::RpcSystem(const RpcSystemOptions& options)
     trace_options.id_offset = static_cast<uint64_t>(s) << 40;
     const uint64_t rng_seed =
         s == 0 ? options.seed : Mix64(options.seed + static_cast<uint64_t>(s));
-    shards_.push_back(std::make_unique<ShardContext>(s, num_shards, options.sim_queue, &topology_,
+    shards_.push_back(std::make_unique<ShardContext>(s, num_shards, &topology_,
                                                      fabric_options, trace_options, rng_seed));
     // Every shard engine walks the same system-owned timeline; the barriers
     // that advance the cursors use identical watermark sequences, so the

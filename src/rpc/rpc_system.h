@@ -51,10 +51,6 @@ struct RpcSystemOptions {
   CycleCostModel costs;
   uint64_t seed = 42;
   uint64_t encryption_key = 0x9a7bull;
-  // Event-queue implementation for the simulator. kLadder is the production
-  // default; kBinaryHeap is the reference for the cross-validation test and
-  // bench_simcore (both produce bit-for-bit identical event streams).
-  SimQueueKind sim_queue = SimQueueKind::kLadder;
   // Fraction of spans carrying CPU-cycle annotations (§4.2: not all samples
   // are annotated with cost information).
   double cpu_annotation_probability = 0.5;
@@ -107,10 +103,10 @@ class RpcSystem {
   // another shard's — that isolation is what makes parallel rounds race-free
   // and deterministic.
   struct ShardContext {
-    ShardContext(int id, int num_domains, SimQueueKind queue_kind, const Topology* topology,
+    ShardContext(int id, int num_domains, const Topology* topology,
                  const FabricOptions& fabric_options, const TraceCollector::Options& trace_options,
                  uint64_t rng_seed)
-        : domain(id, num_domains, queue_kind),
+        : domain(id, num_domains),
           fabric(&domain.sim(), topology, fabric_options),
           tracer(trace_options),
           rng(rng_seed) {}

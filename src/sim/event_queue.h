@@ -1,31 +1,23 @@
-// Event queues for the discrete-event simulator.
+// The discrete-event simulator's pending-event set.
 //
-// Both queues hand out events in exact (time, insertion-sequence) order — the
-// order the determinism digest folds — and differ only in cost profile:
+// EventQueue hands out events in exact (time, insertion-sequence) order — the
+// order the determinism digest folds. It is a binary min-heap of small
+// trivially copyable (time, seq, slot) keys; each key names a slot in a slab
+// of SimCallbacks that never moves while the heap sifts. A sift step copies 24
+// bytes instead of relocating a callback through its type-erased ops, and a
+// free list of slots keeps steady-state Push/PopFront allocation-free (the
+// heap, slab and free list all retain their capacity).
 //
-//  - LadderEventQueue (the default): a two-level ladder/calendar queue. A
-//    window of near-future buckets gives O(1) insertion and amortized O(1)
-//    extraction for the dominant case (events scheduled microseconds ahead);
-//    a min-heap overflow holds far-future events until the window advances
-//    over them. Bucket width adapts to the observed event density two ways:
-//    gradually at window rebuilds, and immediately (multiplicatively) when the
-//    cursor reaches a bucket crowded enough that per-bucket sorting would be
-//    doing the heap's job. Pushes that land at or behind the cursor go to a
-//    small side heap instead of re-sorting the drained bucket, so no push
-//    ever pays more than O(log side) regardless of bucket occupancy.
-//  - BinaryHeapEventQueue: the classic binary min-heap the seed simulator
-//    used. Kept as the reference implementation: the cross-validation test
-//    and bench_simcore run both and require bit-for-bit identical execution.
-//
-// Neither queue allocates per event in steady state: events embed a
-// SimCallback (inline storage / pooled captures) and bucket vectors retain
-// their capacity across windows.
+// One heap over every pending event is the whole design: the fleet workloads
+// hold tens to a few hundred pending events, where a calendar/ladder queue's
+// bucket bookkeeping costs more than the O(log n) sift it avoids
+// (docs/PERF.md#event-queue-design has the depths and the measurements).
 #ifndef RPCSCOPE_SRC_SIM_EVENT_QUEUE_H_
 #define RPCSCOPE_SRC_SIM_EVENT_QUEUE_H_
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/check.h"
@@ -40,164 +32,113 @@ struct SimEvent {
   SimCallback fn;
 };
 
-// Which event queue a Simulator runs on. kLadder is the production default;
-// kBinaryHeap is the reference for cross-validation and benchmarking.
-enum class SimQueueKind : uint8_t {
-  kLadder = 0,
-  kBinaryHeap = 1,
-};
-
-namespace event_queue_internal {
-
-// "a executes after b": orders a max-heap whose front is the earliest event.
-struct ExecutesAfter {
-  bool operator()(const SimEvent& a, const SimEvent& b) const {
-    if (a.time != b.time) {
-      return a.time > b.time;
-    }
-    return a.seq > b.seq;
-  }
-};
-
-// "(time, seq) of a before b": sort order within a ladder bucket.
-struct ExecutesBefore {
-  bool operator()(const SimEvent& a, const SimEvent& b) const {
-    if (a.time != b.time) {
-      return a.time < b.time;
-    }
-    return a.seq < b.seq;
-  }
-};
-
-}  // namespace event_queue_internal
-
-class BinaryHeapEventQueue {
+class EventQueue {
  public:
-  void Push(SimEvent ev) {
-    heap_.push_back(std::move(ev));
-    std::push_heap(heap_.begin(), heap_.end(), event_queue_internal::ExecutesAfter{});
+  // Enqueues `fn` at (time, seq). time must not be negative, and seq must be
+  // unique among pending events.
+  void Push(SimTime time, uint64_t seq, SimCallback&& fn) {
+    RPCSCOPE_DCHECK_GE(time, 0) << "event scheduled before time zero";
+    uint32_t slot;
+    if (!free_slots_.empty()) {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+      slots_[slot] = std::move(fn);
+    } else {
+      slot = static_cast<uint32_t>(slots_.size());
+      slots_.push_back(std::move(fn));
+    }
+    heap_.push_back(Key{time, seq, slot});
+    SiftUp(heap_.size() - 1);
   }
 
   bool Empty() const { return heap_.empty(); }
   size_t Size() const { return heap_.size(); }
 
   // Time of the earliest event. Requires !Empty().
-  SimTime PeekTime() { return heap_.front().time; }
+  SimTime PeekTime() const {
+    RPCSCOPE_DCHECK(!heap_.empty()) << "PeekTime() on an empty event queue";
+    return heap_.front().time;
+  }
 
-  // Removes and returns the earliest event. Requires !Empty().
+  // Removes and returns the earliest event. Requires !Empty(). The callback is
+  // relocated out of its slot and the slot is freed before the caller runs it:
+  // running it in place would be unsafe, since it may Push and grow the slab.
   SimEvent PopFront() {
-    std::pop_heap(heap_.begin(), heap_.end(), event_queue_internal::ExecutesAfter{});
-    SimEvent ev = std::move(heap_.back());
+    RPCSCOPE_DCHECK(!heap_.empty()) << "PopFront() on an empty event queue";
+    const Key top = heap_.front();
+    const Key last = heap_.back();
     heap_.pop_back();
-    return ev;
+    if (!heap_.empty()) {
+      SiftDownFromRoot(last);
+    }
+    free_slots_.push_back(top.slot);
+    return SimEvent{top.time, top.seq, std::move(slots_[top.slot])};
   }
 
  private:
-  std::vector<SimEvent> heap_;
-};
+  struct Key {
+    SimTime time;
+    uint64_t seq;
+    uint32_t slot;
+  };
+  static_assert(std::is_trivially_copyable_v<Key> && sizeof(Key) <= 24);
 
-class LadderEventQueue {
- public:
-  void Push(SimEvent ev) {
-    // Every pushed event satisfies ev.time >= the simulator clock >= floor_,
-    // but not necessarily >= win_start_: a rebalance may anchor the window at
-    // a pending cluster ahead of the clock, and RunUntil can then schedule
-    // into the gap before it.
-    RPCSCOPE_DCHECK_GE(ev.time, floor_) << "event scheduled before the pop floor";
-    const int64_t delta = ev.time - win_start_;
-    ++size_;
-    if (delta >= 0) {
-      const uint64_t idx = static_cast<uint64_t>(delta) >> shift_;
-      if (idx >= kNumBuckets) {
-        overflow_.push_back(std::move(ev));
-        std::push_heap(overflow_.begin(), overflow_.end(),
-                       event_queue_internal::ExecutesAfter{});
-        return;
-      }
-      if (idx > cur_ || (idx == cur_ && !cur_sorted_)) {
-        buckets_[idx].push_back(std::move(ev));
-        return;
-      }
-    }
-    // Before the window, behind the drain position (the cursor peeked past
-    // empty buckets and the clock advanced), or inside the bucket being
-    // drained. The side heap keeps these ordered without re-sorting or
-    // shifting the drained bucket; Front() merges the two streams.
-    side_.push_back(std::move(ev));
-    std::push_heap(side_.begin(), side_.end(), event_queue_internal::ExecutesAfter{});
+  // (time, seq) order as one 128-bit comparison: branch-free, which matters
+  // because equal times are common and make a two-step compare mispredict.
+  // Times are never negative (Push checks), so their unsigned bits order
+  // the same way.
+  static bool Before(const Key& a, const Key& b) {
+    using U128 = unsigned __int128;
+    return ((U128{static_cast<uint64_t>(a.time)} << 64) | a.seq) <
+           ((U128{static_cast<uint64_t>(b.time)} << 64) | b.seq);
   }
 
-  bool Empty() const { return size_ == 0; }
-  size_t Size() const { return size_; }
-
-  // Time of the earliest event; advances the internal cursor to it (cheap and
-  // idempotent). Requires !Empty().
-  SimTime PeekTime() { return Front().time; }
-
-  // Removes and returns the earliest event. Requires !Empty().
-  SimEvent PopFront() {
-    Front();  // Position the cursor and decide which stream is earliest.
-    SimEvent ev;
-    if (front_in_side_) {
-      std::pop_heap(side_.begin(), side_.end(), event_queue_internal::ExecutesAfter{});
-      ev = std::move(side_.back());
-      side_.pop_back();
-    } else {
-      ev = std::move(buckets_[cur_][cur_pos_]);
-      ++cur_pos_;
+  // Moves the key at `i` up to its place, shifting parents down into the hole.
+  void SiftUp(size_t i) {
+    const Key key = heap_[i];
+    while (i > 0) {
+      const size_t parent = (i - 1) / 2;
+      if (!Before(key, heap_[parent])) {
+        break;
+      }
+      heap_[i] = heap_[parent];
+      i = parent;
     }
-    --size_;
-    ++drained_in_window_;
-    floor_ = ev.time;
-    return ev;
+    heap_[i] = key;
   }
 
-  // Current bucket-width exponent (bucket spans 1 << shift ns); for tests.
-  int width_shift() const { return shift_; }
+  // Places `key` (the former last element) into the hole left at the root:
+  // walks the hole down along the smaller child to a leaf, then sifts `key`
+  // up from there. The key came from the bottom, so it usually belongs near
+  // the bottom, and this takes one comparison per level instead of two.
+  void SiftDownFromRoot(const Key& key) {
+    const size_t n = heap_.size();
+    size_t hole = 0;
+    size_t child = 1;
+    while (child < n) {
+      if (child + 1 < n) {
+        child += static_cast<size_t>(Before(heap_[child + 1], heap_[child]));
+      }
+      heap_[hole] = heap_[child];
+      hole = child;
+      child = 2 * hole + 1;
+    }
+    while (hole > 0) {
+      const size_t parent = (hole - 1) / 2;
+      if (!Before(key, heap_[parent])) {
+        break;
+      }
+      heap_[hole] = heap_[parent];
+      hole = parent;
+    }
+    heap_[hole] = key;
+  }
 
- private:
-  static constexpr size_t kBucketBits = 9;
-  static constexpr size_t kNumBuckets = size_t{1} << kBucketBits;  // 512
-  // Width starts at 4.1us (2 ms window): wide enough that typical RPC-stack
-  // delays land in-window, and density adaptation takes it from there.
-  static constexpr int kInitialShift = 12;
-  // At shift 55 the window spans > 2^63 ns, so any representable event time
-  // lands in-window and RebuildWindow always makes progress.
-  static constexpr int kMaxShift = 55;
-  // A bucket the cursor is about to sort that holds more than kSplitOccupancy
-  // events triggers an immediate Rebalance targeting ~kTargetOccupancy per
-  // bucket, so density spikes never degrade into one giant sorted bucket.
-  static constexpr size_t kSplitOccupancy = 64;
-  static constexpr size_t kTargetOccupancy = 8;
-
-  // Earliest pending event; positions the cursor on it and records whether it
-  // lives in the side heap or the current bucket. Requires size_ > 0.
-  const SimEvent& Front();
-
-  // Narrows the bucket width and redistributes every in-window event so the
-  // dense current bucket spreads to ~kTargetOccupancy events per bucket.
-  // Returns false (no change) when the bucket is pure timestamp ties, which
-  // no width can separate.
-  bool TryRebalance();
-  void RebuildWindow();
-
-  std::array<std::vector<SimEvent>, kNumBuckets> buckets_;
-  // Min-heap (via ExecutesAfter) of events beyond the current window.
-  std::vector<SimEvent> overflow_;
-  // Min-heap of events at or behind the cursor; merged with the current
-  // bucket by Front(). Always drained before the cursor advances.
-  std::vector<SimEvent> side_;
-  // Reused gather buffer for Rebalance (capacity retained across calls).
-  std::vector<SimEvent> rebalance_scratch_;
-  SimTime win_start_ = 0;  // Inclusive start of the bucket window.
-  SimTime floor_ = 0;      // Time of the most recently popped event.
-  int shift_ = kInitialShift;
-  size_t cur_ = 0;        // Bucket the cursor drains next.
-  size_t cur_pos_ = 0;    // Next undrained element of buckets_[cur_].
-  bool cur_sorted_ = false;
-  bool front_in_side_ = false;  // Set by Front(): where the earliest event is.
-  size_t size_ = 0;
-  size_t drained_in_window_ = 0;  // Pops since the last window rebuild.
+  std::vector<Key> heap_;
+  // Callback slab: slots_[key.slot] holds the event's callback while it is
+  // pending. Slots named by free_slots_ hold empty callbacks.
+  std::vector<SimCallback> slots_;
+  std::vector<uint32_t> free_slots_;
 };
 
 }  // namespace rpcscope

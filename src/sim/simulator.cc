@@ -1,5 +1,6 @@
 #include "src/sim/simulator.h"
 
+#include <string>
 #include <utility>
 
 #include "src/checkpoint/checkpoint.h"
@@ -19,6 +20,11 @@ uint64_t FnvMix(uint64_t digest, uint64_t word) {
   return digest;
 }
 
+// The "sim" checkpoint section's queue byte. It once named the queue kind
+// (0 ladder, 1 binary heap); both ran the identical (time, seq) order and a
+// checkpoint is only taken with the queue empty, so either value restores.
+constexpr uint8_t kCheckpointQueueByte = 0;
+
 }  // namespace
 
 void Simulator::Schedule(SimDuration delay, Callback fn) {
@@ -29,7 +35,9 @@ void Simulator::Schedule(SimDuration delay, Callback fn) {
   // AddClamped saturates at the end of virtual time: a caller passing an
   // "effectively forever" delay must not wrap into the past (which release
   // builds would then silently clamp to now, firing the event immediately).
-  ScheduleAt(AddClamped(now_, delay), std::move(fn));
+  // Pushed directly rather than through ScheduleAt, which would relocate the
+  // callback once more on the way.
+  queue_.Push(AddClamped(now_, delay), next_seq_++, std::move(fn));
 }
 
 void Simulator::ScheduleAt(SimTime when, Callback fn) {
@@ -37,11 +45,11 @@ void Simulator::ScheduleAt(SimTime when, Callback fn) {
   if (when < now_) {
     when = now_;
   }
-  QueuePush(SimEvent{when, next_seq_++, std::move(fn)});
+  queue_.Push(when, next_seq_++, std::move(fn));
 }
 
 SimEvent Simulator::PopEvent() {
-  SimEvent ev = queue_kind_ == SimQueueKind::kLadder ? ladder_.PopFront() : heap_.PopFront();
+  SimEvent ev = queue_.PopFront();
   // The virtual clock never moves backwards, and the queue hands out events in
   // strict (time, seq) order. A violation here means the queue or an event
   // mutation corrupted the schedule — every downstream latency number would be
@@ -62,7 +70,7 @@ SimEvent Simulator::PopEvent() {
 
 uint64_t Simulator::Run() {
   uint64_t executed = 0;
-  while (!QueueEmpty()) {
+  while (!queue_.Empty()) {
     SimEvent ev = PopEvent();
     ev.fn();
     ++executed;
@@ -73,7 +81,7 @@ uint64_t Simulator::Run() {
 
 uint64_t Simulator::RunBefore(SimTime until) {
   uint64_t executed = 0;
-  while (!QueueEmpty() && QueuePeekTime() < until) {
+  while (!queue_.Empty() && queue_.PeekTime() < until) {
     SimEvent ev = PopEvent();
     ev.fn();
     ++executed;
@@ -83,13 +91,13 @@ uint64_t Simulator::RunBefore(SimTime until) {
 }
 
 Status Simulator::CheckpointTo(CheckpointWriter& w) const {
-  if (!ladder_.Empty() || !heap_.Empty()) {
+  if (!queue_.Empty()) {
     return FailedPreconditionError(
         "simulator queue not drained: checkpoints are only taken at quiescent "
         "barriers (events hold closures and cannot be persisted)");
   }
   w.BeginSection("sim");
-  w.WriteU8(static_cast<uint8_t>(queue_kind_));
+  w.WriteU8(kCheckpointQueueByte);
   w.WriteI64(now_);
   w.WriteU64(next_seq_);
   w.WriteU64(events_executed_);
@@ -102,13 +110,13 @@ Status Simulator::CheckpointTo(CheckpointWriter& w) const {
 }
 
 Status Simulator::RestoreFrom(CheckpointReader& r) {
-  if (!ladder_.Empty() || !heap_.Empty()) {
+  if (!queue_.Empty()) {
     return FailedPreconditionError("restore into a simulator with pending events");
   }
   if (Status s = r.EnterSection("sim"); !s.ok()) {
     return s;
   }
-  const auto kind = static_cast<SimQueueKind>(r.ReadU8());
+  const uint8_t queue_byte = r.ReadU8();
   const SimTime now = r.ReadI64();
   const uint64_t next_seq = r.ReadU64();
   const uint64_t events_executed = r.ReadU64();
@@ -119,9 +127,9 @@ Status Simulator::RestoreFrom(CheckpointReader& r) {
   if (Status s = r.LeaveSection(); !s.ok()) {
     return s;
   }
-  if (kind != queue_kind_) {
-    return FailedPreconditionError(
-        "checkpoint was taken with a different simulator queue kind");
+  if (queue_byte > 1) {
+    return DataLossError("simulator checkpoint has an unknown queue byte " +
+                         std::to_string(queue_byte));
   }
   if (now < 0 || next_seq < events_executed) {
     return DataLossError("simulator checkpoint state is inconsistent");
@@ -137,7 +145,7 @@ Status Simulator::RestoreFrom(CheckpointReader& r) {
 }
 
 Status Simulator::ResyncAt(SimTime barrier) {
-  if (!ladder_.Empty() || !heap_.Empty()) {
+  if (!queue_.Empty()) {
     return FailedPreconditionError(
         "simulator queue not drained: barrier resync requires quiescence");
   }
@@ -146,21 +154,19 @@ Status Simulator::ResyncAt(SimTime barrier) {
   }
   now_ = barrier;
   // The ordering bookkeeping restarts from the barrier: the next event popped
-  // starts a fresh (time, seq) chain, and the ladder's pop floor (stuck at the
-  // pre-resync clock) is discarded with the ladder itself. Sequence counter
-  // and digest carry forward — the digest must keep folding the same global
-  // stream whether or not the run was segmented.
+  // starts a fresh (time, seq) chain. Sequence counter and digest carry
+  // forward — the digest must keep folding the same global stream whether or
+  // not the run was segmented. The queue holds no clock state, so the drained
+  // queue is kept as is, capacity included.
   last_time_ = 0;
   last_seq_ = 0;
   any_executed_ = false;
-  ladder_ = LadderEventQueue();
-  heap_ = BinaryHeapEventQueue();
   return Status::Ok();
 }
 
 uint64_t Simulator::RunUntil(SimTime until) {
   uint64_t executed = 0;
-  while (!QueueEmpty() && QueuePeekTime() <= until) {
+  while (!queue_.Empty() && queue_.PeekTime() <= until) {
     SimEvent ev = PopEvent();
     ev.fn();
     ++executed;

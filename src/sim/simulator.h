@@ -7,11 +7,12 @@
 // expressed as resources over virtual time, not as host threads.
 //
 // Hot-path design (docs/PERF.md): callbacks are SimCallback (inline storage,
-// pooled arena for large captures) and the pending-event set lives in a
-// ladder/calendar queue by default, so steady-state Schedule/dispatch is
-// allocation-free and mostly O(1). The seed binary-heap queue remains
-// available as SimQueueKind::kBinaryHeap; both produce bit-for-bit identical
-// event streams, which the cross-validation test enforces via event_digest().
+// pooled arena for large captures) and the pending-event set is one
+// EventQueue, a binary heap of (time, seq, slot) keys over a stationary
+// callback slab, so steady-state Schedule/dispatch is allocation-free and a
+// callback is relocated once into the queue and once out of it. Tests pin
+// the order against a reference heap of whole events (tests/sim/) and pin the
+// mini-fleet's event_digest() to golden values.
 #ifndef RPCSCOPE_SRC_SIM_SIMULATOR_H_
 #define RPCSCOPE_SRC_SIM_SIMULATOR_H_
 
@@ -33,13 +34,11 @@ class Simulator {
  public:
   using Callback = SimCallback;
 
-  explicit Simulator(SimQueueKind queue_kind = SimQueueKind::kLadder)
-      : queue_kind_(queue_kind) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   SimTime Now() const { return now_; }
-  SimQueueKind queue_kind() const { return queue_kind_; }
 
   // Schedules `fn` to run `delay` after the current time (delay >= 0). A
   // negative delay is a caller bug: debug builds DCHECK-fail on it, release
@@ -67,26 +66,27 @@ class Simulator {
 
   // Timestamp of the earliest pending event, or kMaxSimTime when the queue is
   // empty. The shard executor uses this to size adaptive rounds.
-  SimTime NextEventTime() { return QueueEmpty() ? kMaxSimTime : QueuePeekTime(); }
+  SimTime NextEventTime() const { return queue_.Empty() ? kMaxSimTime : queue_.PeekTime(); }
 
   // RunUntil(now + duration), saturating instead of wrapping on overflow.
   uint64_t RunFor(SimDuration duration) { return RunUntil(AddClamped(now_, duration)); }
 
-  bool empty() const { return QueueEmpty(); }
+  bool empty() const { return queue_.Empty(); }
   uint64_t events_executed() const { return events_executed_; }
 
   // Order-sensitive digest of every (time, seq) pair executed so far (FNV-1a
   // over the event stream). Two runs of the same seeded workload must produce
   // identical digests; the determinism regression test, the CI smoke test,
-  // and the ladder-vs-heap cross-validation test diff this value.
+  // and the golden-digest test diff this value.
   uint64_t event_digest() const { return event_digest_; }
 
   // Checkpoint support (src/checkpoint/). The event queue holds closures and
   // cannot be persisted, so both directions require a drained queue: the
   // clock, sequence counter, and digest serialize, and schedulers re-arm
   // their own future events after Restore. Serialize fails if any event is
-  // pending; Restore fails on a queue-kind mismatch (a checkpoint belongs to
-  // one run configuration) or a pre-populated queue.
+  // pending; Restore fails on a pre-populated queue. The section keeps a
+  // queue byte from when two queue kinds existed: written as 0, and 0 or 1
+  // (both kinds ran the identical (time, seq) order) accepted on restore.
   [[nodiscard]] Status CheckpointTo(CheckpointWriter& w) const;
   [[nodiscard]] Status RestoreFrom(CheckpointReader& r);
 
@@ -95,34 +95,16 @@ class Simulator {
   // shard's clock at its own last cascade event — past the barrier on busy
   // shards — which would force the next epoch's cross-shard deliveries into
   // their receivers' past. With the queue empty the clock can simply be set
-  // to the common barrier time: the ladder is rebuilt (its pop floor is as
-  // stale as the clock) and the executed-order bookkeeping restarts, while
-  // the sequence counter and digest continue. Fails if events are pending.
+  // to the common barrier time: the executed-order bookkeeping restarts,
+  // while the sequence counter and digest continue, and the (empty) queue
+  // keeps its capacity. Fails if events are pending.
   [[nodiscard]] Status ResyncAt(SimTime barrier);
 
  private:
-  // Queue operations dispatch on queue_kind_: one perfectly-predicted branch
-  // per op, which keeps both implementations first-class (the reference heap
-  // must stay runnable for cross-validation and benchmarking).
-  void QueuePush(SimEvent ev) {
-    if (queue_kind_ == SimQueueKind::kLadder) {
-      ladder_.Push(std::move(ev));
-    } else {
-      heap_.Push(std::move(ev));
-    }
-  }
-  bool QueueEmpty() const {
-    return queue_kind_ == SimQueueKind::kLadder ? ladder_.Empty() : heap_.Empty();
-  }
-  SimTime QueuePeekTime() {
-    return queue_kind_ == SimQueueKind::kLadder ? ladder_.PeekTime() : heap_.PeekTime();
-  }
-
   // Pops the front event, advances the clock (checking monotonicity and
   // (time, seq) ordering), and folds the event into the digest.
   SimEvent PopEvent();
 
-  SimQueueKind queue_kind_;
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_executed_ = 0;
@@ -131,8 +113,7 @@ class Simulator {
   SimTime last_time_ = 0;
   uint64_t last_seq_ = 0;
   bool any_executed_ = false;
-  LadderEventQueue ladder_;
-  BinaryHeapEventQueue heap_;
+  EventQueue queue_;
 };
 
 }  // namespace rpcscope

@@ -2,7 +2,8 @@
 // the writer/reader framing round-trips bit-for-bit, and every corruption
 // mode in the policy — truncation, a flipped byte, an unknown format
 // version, a config-hash mismatch — is a clean error Status, never a crash
-// and never a partial parse. Directory-level tests cover the atomic commit,
+// and never a partial parse. The simulator section's legacy queue byte keeps
+// its written value and accepted range. Directory-level tests cover the atomic commit,
 // newest-valid fallback, and retention.
 #include <gtest/gtest.h>
 
@@ -17,6 +18,8 @@
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
+#include "src/common/time.h"
+#include "src/sim/simulator.h"
 
 namespace rpcscope {
 namespace {
@@ -243,6 +246,59 @@ Status CommitOne(const std::string& root, uint64_t epoch, uint64_t config_hash) 
     return s;
   }
   return set.Commit(config_hash, /*sim_horizon=*/1000, /*num_shards=*/1);
+}
+
+// A "sim" section as Simulator::CheckpointTo lays it out, with the given
+// queue byte in front (0 and 1 named the two queue kinds that used to exist).
+CheckpointWriter SimSection(uint8_t queue_byte) {
+  CheckpointWriter w;
+  w.BeginSection("sim");
+  w.WriteU8(queue_byte);
+  w.WriteI64(Millis(250));  // now
+  w.WriteU64(1000);         // next_seq
+  w.WriteU64(990);          // events_executed
+  w.WriteU64(0x1234abcdull);  // event_digest
+  w.WriteI64(Millis(249));  // last_time
+  w.WriteU64(999);          // last_seq
+  w.WriteBool(true);        // any_executed
+  w.EndSection();
+  return w;
+}
+
+TEST(CheckpointSim, WritesQueueByteZero) {
+  Simulator sim;
+  sim.Schedule(Millis(1), [] {});
+  sim.Run();
+  CheckpointWriter w;
+  ASSERT_TRUE(sim.CheckpointTo(w).ok());
+  Result<CheckpointReader> reader = CheckpointReader::FromBytes(w.buffer());
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(reader->EnterSection("sim").ok());
+  EXPECT_EQ(reader->ReadU8(), 0);
+  EXPECT_EQ(reader->ReadI64(), Millis(1));
+}
+
+TEST(CheckpointSim, RestoresQueueBytesZeroAndOneRejectsOthers) {
+  for (const uint8_t queue_byte : {uint8_t{0}, uint8_t{1}, uint8_t{2}}) {
+    const CheckpointWriter w = SimSection(queue_byte);
+    Result<CheckpointReader> reader = CheckpointReader::FromBytes(w.buffer());
+    ASSERT_TRUE(reader.ok());
+    Simulator sim;
+    const Status s = sim.RestoreFrom(*reader);
+    if (queue_byte <= 1) {
+      ASSERT_TRUE(s.ok()) << "queue byte " << int{queue_byte} << ": " << s.ToString();
+      EXPECT_EQ(sim.Now(), Millis(250));
+      EXPECT_EQ(sim.events_executed(), 990u);
+      EXPECT_EQ(sim.event_digest(), 0x1234abcdull);
+      // The restored sequence counter and ordering state keep running.
+      sim.Schedule(0, [] {});
+      EXPECT_EQ(sim.Run(), 1u);
+    } else {
+      EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+      EXPECT_EQ(sim.Now(), 0);
+      EXPECT_EQ(sim.events_executed(), 0u);
+    }
+  }
 }
 
 TEST(CheckpointStore, CommitValidateAndList) {

@@ -2,10 +2,11 @@
 //
 // Lives in its own test executable because it replaces global operator
 // new/delete with counting versions: after a warmup phase that grows every
-// internal buffer (ladder buckets, callback capture pool), steady-state
-// Schedule + dispatch must perform zero heap allocations — for small captures
-// (inline SimCallback storage) and for large captures (recycled CapturePool
-// blocks) alike, on both queue kinds.
+// internal buffer (the event queue's heap, callback slab and free list, the
+// callback capture pool), steady-state Schedule + dispatch must perform zero
+// heap allocations — for small captures (inline SimCallback storage) and for
+// large captures (recycled CapturePool blocks) alike, and across a ResyncAt
+// barrier, which keeps the queue's capacity.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -93,20 +94,37 @@ uint64_t RunPhase(Simulator& sim, ChainT* chains, int chain_count,
 }
 
 TEST(AllocTest, SteadyStateDispatchIsAllocationFreeInlineCaptures) {
-  for (const SimQueueKind kind :
-       {SimQueueKind::kLadder, SimQueueKind::kBinaryHeap}) {
-    Simulator sim(kind);
-    constexpr int kChains = 8;
-    Chain chains[kChains];
-    for (int i = 0; i < kChains; ++i) {
-      chains[i].sim = &sim;
-      // Mixed periods spread events across ladder buckets.
-      chains[i].step = Micros(1 + i);
-    }
-    // Warmup: grow bucket vectors across several window rebuilds.
-    (void)RunPhase(sim, chains, kChains, 20000);
+  Simulator sim;
+  constexpr int kChains = 8;
+  Chain chains[kChains];
+  for (int i = 0; i < kChains; ++i) {
+    chains[i].sim = &sim;
+    // Mixed periods keep the chains' events interleaving in the heap.
+    chains[i].step = Micros(1 + i);
+  }
+  // Warmup: grow the heap, slab and free list to the chains' depth.
+  (void)RunPhase(sim, chains, kChains, 20000);
+  const uint64_t allocs = RunPhase(sim, chains, kChains, 20000);
+  EXPECT_EQ(allocs, 0u);
+}
+
+TEST(AllocTest, SteadyStateDispatchStaysAllocationFreeAfterResyncAt) {
+  Simulator sim;
+  constexpr int kChains = 8;
+  Chain chains[kChains];
+  for (int i = 0; i < kChains; ++i) {
+    chains[i].sim = &sim;
+    chains[i].step = Micros(1 + i);
+  }
+  (void)RunPhase(sim, chains, kChains, 20000);
+  // Epoch barriers, as the fleet's segment loop runs them: each resync must
+  // keep the drained queue's capacity, so the next segment allocates nothing.
+  for (int epoch = 1; epoch <= 3; ++epoch) {
+    const uint64_t before = g_allocations;
+    ASSERT_TRUE(sim.ResyncAt(sim.Now() + Millis(250)).ok());
+    EXPECT_EQ(g_allocations - before, 0u) << "ResyncAt allocated, epoch " << epoch;
     const uint64_t allocs = RunPhase(sim, chains, kChains, 20000);
-    EXPECT_EQ(allocs, 0u) << "queue kind " << static_cast<int>(kind);
+    EXPECT_EQ(allocs, 0u) << "epoch " << epoch;
   }
 }
 

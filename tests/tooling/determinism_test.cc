@@ -2,10 +2,13 @@
 // only meaningful if a fixed seed reproduces the exact same fleet execution.
 // Runs the mini-fleet twice with the same seed and asserts that the
 // (time, seq) event digest, the event count, and the full span stream match
-// bit-for-bit — then runs a different seed and asserts the digest moves.
+// bit-for-bit, that the run reproduces golden values recorded before the
+// event queue was replaced — then runs a different seed and asserts the
+// digest moves.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 
 #include "src/fleet/mini_fleet.h"
 #include "src/fleet/service_catalog.h"
@@ -64,26 +67,23 @@ TEST(DeterminismTest, SameSeedReproducesIdenticalEventStreamAndSpans) {
   EXPECT_EQ(a.spans_per_service, b.spans_per_service);
 }
 
-TEST(DeterminismTest, LadderAndHeapQueuesProduceBitForBitIdenticalRuns) {
-  // The ladder queue is a pure performance substitution: the same fleet on
-  // the reference binary heap must execute the identical event stream and
-  // emit the identical spans, bit for bit.
+TEST(DeterminismTest, FleetRunMatchesGoldenEventStreamAndSpans) {
+  // Golden values for this fleet, recorded when the simulator still ran both
+  // a ladder queue and a binary heap and produced them bit for bit on each.
+  // Any event-queue change must reproduce the identical event stream (count
+  // and (time, seq) digest) and the identical spans.
   const ServiceCatalog catalog = ServiceCatalog::BuildDefault();
-  MiniFleetOptions ladder_opts = TestOptions(0xf1ee7);
-  ladder_opts.sim_queue = SimQueueKind::kLadder;
-  MiniFleetOptions heap_opts = TestOptions(0xf1ee7);
-  heap_opts.sim_queue = SimQueueKind::kBinaryHeap;
+  const MiniFleetResult run = RunMiniFleet(catalog, TestOptions(0xf1ee7));
 
-  const MiniFleetResult ladder = RunMiniFleet(catalog, ladder_opts);
-  const MiniFleetResult heap = RunMiniFleet(catalog, heap_opts);
-
-  EXPECT_GT(ladder.events_executed, 0u);
-  EXPECT_EQ(ladder.events_executed, heap.events_executed);
-  EXPECT_EQ(ladder.event_digest, heap.event_digest);
-  EXPECT_EQ(ladder.root_calls, heap.root_calls);
-  EXPECT_EQ(ladder.spans.size(), heap.spans.size());
-  EXPECT_EQ(HashSpans(ladder.spans), HashSpans(heap.spans));
-  EXPECT_EQ(ladder.spans_per_service, heap.spans_per_service);
+  EXPECT_EQ(run.events_executed, 28628u);
+  EXPECT_EQ(run.event_digest, 0x162b5d498b7aac2ull);
+  EXPECT_EQ(run.root_calls, 1798u);
+  EXPECT_EQ(run.spans.size(), 2690u);
+  EXPECT_EQ(HashSpans(run.spans), 0x6ee3bd26098bf94ull);
+  const std::map<int32_t, int64_t> golden_spans_per_service = {
+      {0, 144}, {1, 377}, {2, 244}, {3, 248}, {4, 52},
+      {5, 912}, {6, 269}, {7, 216}, {8, 228}};
+  EXPECT_EQ(run.spans_per_service, golden_spans_per_service);
 }
 
 TEST(DeterminismTest, DifferentSeedProducesDifferentEventStream) {

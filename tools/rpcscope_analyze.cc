@@ -210,15 +210,19 @@ int main(int argc, char** argv) {
     });
   }
 
+  // Each file is decoded once and its spans go straight into the one store
+  // (a per-file TraceStore would copy and index every span twice).
   TraceStore store;
   for (const std::string& file : files) {
-    Result<TraceStore> loaded = TraceStore::LoadFromFile(file);
-    if (!loaded.ok()) {
+    Result<std::vector<uint8_t>> bytes = ReadSpanFile(file);
+    Result<std::vector<Span>> spans =
+        bytes.ok() ? DeserializeSpans(bytes.value()) : Result<std::vector<Span>>(bytes.status());
+    if (!spans.ok()) {
       std::fprintf(stderr, "cannot load %s: %s\n", file.c_str(),
-                   loaded.status().ToString().c_str());
+                   spans.status().ToString().c_str());
       return 1;
     }
-    store.AddAll(loaded->spans());
+    store.AddAll(spans.value());
   }
 
   auto print = [csv](const FigureReport& report) {

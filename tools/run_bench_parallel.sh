@@ -6,7 +6,7 @@
 # shards x workers), the burst rounds of a known size on both the inline and
 # the pooled branch (BM_BurstSharded), the pool dispatch cost rows
 # (BM_PoolDispatch), plus the single-domain
-# BM_MiniFleet_Ladder reference the shards:1/workers:1 row must stay within
+# BM_MiniFleet reference the shards:1/workers:1 row must stay within
 # noise of. The JSON's
 # context.num_cpus records how many host cores the run had — multi-worker
 # rows can only beat the 1-worker row when that is > 1.
@@ -33,7 +33,7 @@ if ! grep -q '^CMAKE_BUILD_TYPE:[^=]*=Release$' "$BUILD/CMakeCache.txt"; then
 fi
 
 "$BUILD/bench/bench_simcore" \
-  --benchmark_filter='BM_MiniFleetSharded|BM_BurstSharded|BM_PoolDispatch|BM_MiniFleet_Ladder' \
+  --benchmark_filter='BM_MiniFleetSharded|BM_BurstSharded|BM_PoolDispatch|BM_MiniFleet$' \
   --benchmark_out="$ROOT/BENCH_parallel.json" \
   --benchmark_out_format=json \
   --benchmark_min_time=0.3 \
